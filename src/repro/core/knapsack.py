@@ -18,16 +18,29 @@ Three exact solvers are provided:
 
 plus :func:`brute_force` for property-testing the DPs on small inputs.
 
-Memory model
-------------
-The solvers recover the chosen subset with Hirschberg-style
-divide-and-conquer backtracking instead of a dense ``n x W (x K)``
-``take`` tensor: each recursion level runs value-only forward DPs over
-both item halves, finds the capacity split between them, and recurses.
-The geometric shrinking of the halves keeps total work at ~2x a single
-forward DP (still O(n·W) / O(n·W·K)), while live memory drops from
-O(n·W·K) to O(W·K·log n) — independent of the queue length, which is
-what lets the Fig. 4 hot path repack against 10k–100k pending jobs.
+Shape classes and memory model
+------------------------------
+Jobs in one pack share few shapes: in the Fig. 10 MCCK cell a pack
+sees ~500 pending jobs but only ~35 distinct ``(declared_mb,
+declared_threads)`` pairs. The solvers therefore group items into
+classes of equal (quantized weight, quantized cost, value), cap each
+class's multiplicity at what could fit (``W // w`` and ``K // c``), and
+split it in binary — multiplicity m becomes chunks of 1, 2, 4, ...
+members, ⌊log₂ m⌋ + 1 in all, which can sum to any count 0..m. One
+dense 0-1 DP over the chunks, with a boolean ``take`` table per chunk,
+solves the bounded knapsack exactly; backtracking runs from ``(W, K)``.
+Time and memory are O(chunks · W · K), where chunks grows with the
+number of distinct quantized shapes (at most ``log₂ W + 1`` chunks per
+class), not with the queue length. ``K`` is 0 for :func:`knapsack_1d`,
+the item bound for :func:`knapsack_cardinality` (cost 1 per item) and
+the quantized thread budget for :func:`knapsack_thread_capped`.
+
+Tie-break (canonical): a DP cell is overwritten only on a *strict*
+improvement, so among equal-value packings the one reachable without a
+later chunk wins — classes earlier in the input (by first member) are
+preferred — and within each chosen class the FIFO-earliest members
+(lowest indices) are taken. Identical items therefore always resolve to
+the lowest indices.
 
 Quantization
 ------------
@@ -44,8 +57,10 @@ not a quantum multiple.)
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional, Sequence
 
 import numpy as np
@@ -120,14 +135,6 @@ def _consistent_grid(
             else:
                 weights.append(W + 1)
         return W, weights
-    if len(raw) >= 32:
-        # Vectorized quantization for large queues. np.ceil on float64
-        # performs the identical IEEE operation to math.ceil, so the
-        # result matches the scalar path bit for bit.
-        arr = np.asarray(raw, dtype=float)
-        q = np.ceil(arr / quantum - 1e-12).astype(np.int64)
-        q[(q > W) & (arr <= capacity)] = W
-        return W, q.tolist()
     for w in raw:
         q = _quantize(w, quantum)
         if q > W and w <= capacity:
@@ -149,340 +156,97 @@ def _result(items: Sequence[Item], chosen: list[int]) -> PackResult:
     )
 
 
-# -- value-only forward DPs (no take tensors) --------------------------------
+# -- shape-class DP -----------------------------------------------------------
 
 
-def _dp_values_1d(
-    weights: Sequence[int], values: Sequence[float], lo: int, hi: int, W: int
-) -> np.ndarray:
-    """Best value of items[lo:hi] at every capacity 0..W ("at most" semantics)."""
-    dp = np.zeros(W + 1)
-    if hi - lo == 1:
-        # Single item: the DP profile is a step function — fill directly
-        # instead of paying the generic add/maximum pair.
-        w, v = weights[lo], values[lo]
-        if v > 0 and w <= W:
-            dp[w:] = v
-        return dp
-    if hi - lo == 2:
-        # Two items: three plateau fills reproduce the generic loop's
-        # cell values exactly (va + vb dominates both single values, and
-        # the sums are computed by the same float additions).
-        wa, va = weights[lo], values[lo]
-        wb, vb = weights[lo + 1], values[lo + 1]
-        fa = va > 0 and wa <= W
-        fb = vb > 0 and wb <= W
-        if fa:
-            dp[wa:] = va
-        if fb:
-            if fa:
-                np.maximum(dp[wb:], vb, out=dp[wb:])
-                if wa + wb <= W:
-                    dp[wa + wb :] = va + vb
-            else:
-                dp[wb:] = vb
-        return dp
-    for i in range(lo, hi):
-        w, v = weights[i], values[i]
-        if w > W or v <= 0:
-            continue
-        if w == 0:
-            dp += v
+def _shape_groups(items: Sequence[Item]) -> dict[tuple[float, int, float], list[int]]:
+    """Item indices grouped by raw ``(weight, threads, value)``, in input order."""
+    groups: dict[tuple[float, int, float], list[int]] = {}
+    for i, item in enumerate(items):
+        key = (item.weight, item.threads, item.value)
+        members = groups.get(key)
+        if members is None:
+            groups[key] = [i]
         else:
-            # The addition materializes a temp from the pre-update dp, so
-            # the in-place maximum keeps 0-1 (not unbounded) semantics.
-            np.maximum(dp[w:], dp[: W + 1 - w] + v, out=dp[w:])
-    return dp
+            members.append(i)
+    return groups
 
 
-def _dp_values_2d(
-    weights: Sequence[int],
-    costs: Sequence[int],
-    values: Sequence[float],
-    lo: int,
-    hi: int,
+def _solve(
+    items: Sequence[Item],
+    groups: dict[tuple[float, int, float], list[int]],
     W: int,
+    weights: Sequence[int],
     K: int,
-) -> np.ndarray:
-    """2-D variant: second dimension is item count or quantized threads."""
-    dp = np.zeros((W + 1, K + 1))
-    if hi - lo == 1:
-        w, k, v = weights[lo], costs[lo], values[lo]
-        if v > 0 and w <= W and k <= K:
-            dp[w:, k:] = v
-        return dp
-    if hi - lo == 2:
-        # Two-item plateau fills; see _dp_values_1d.
-        wa, ka, va = weights[lo], costs[lo], values[lo]
-        wb, kb, vb = weights[lo + 1], costs[lo + 1], values[lo + 1]
-        fa = va > 0 and wa <= W and ka <= K
-        fb = vb > 0 and wb <= W and kb <= K
-        if fa:
-            dp[wa:, ka:] = va
-        if fb:
-            if fa:
-                np.maximum(dp[wb:, kb:], vb, out=dp[wb:, kb:])
-                if wa + wb <= W and ka + kb <= K:
-                    dp[wa + wb :, ka + kb :] = va + vb
-            else:
-                dp[wb:, kb:] = vb
-        return dp
-    for i in range(lo, hi):
-        w, k, v = weights[i], costs[i], values[i]
-        if w > W or k > K or v <= 0:
-            continue
-        if w == 0 and k == 0:
-            dp += v
-        else:
-            np.maximum(
-                dp[w:, k:], dp[: W + 1 - w, : K + 1 - k] + v, out=dp[w:, k:]
-            )
-    return dp
+    costs: Sequence[int],
+) -> PackResult:
+    """Bounded knapsack over shape classes, weight x cost capacity (W, K).
 
-
-# -- divide-and-conquer reconstruction ---------------------------------------
-#
-# All-fit shortcut. At any recursion node, if the positive-value items in
-# [lo, hi) *collectively* fit the residual capacity, the optimal subset
-# is exactly those items (dropping one strictly loses its value; adding
-# non-positive items never gains), and that is also precisely what the
-# divide-and-conquer would return: the value profile over the positive
-# items of a half only reaches its full-value plateau at capacities >=
-# the half's total positive weight, so the first-index argmax split hands
-# each half enough capacity for *all* its positive items and the
-# induction closes at the leaves. Unfittable items carry quantized
-# weight W + 1, which keeps any window containing one above the residual
-# capacity — the shortcut can never admit them. Prefix sums over the
-# positive-value items make the check O(1) per node.
-
-
-def _positive_prefix(weights: Sequence[int], values: Sequence[float]) -> list[int]:
-    """Prefix sums of quantized weight over positive-value items only."""
-    prefix = [0] * (len(weights) + 1)
-    total = 0
-    for i, (w, v) in enumerate(zip(weights, values)):
-        if v > 0:
-            total += w
-        prefix[i + 1] = total
-    return prefix
-
-
-def _min_positive(weights: Sequence[int], values: Sequence[float], default: int) -> int:
-    """Smallest quantized weight among positive-value items.
-
-    ``default`` (capacity + 1) is returned when no item has positive
-    value, which makes the caller's none-fits prune always fire — the
-    optimal subset of a window with no positive items is empty.
+    ``weights``/``costs`` are the quantized weight and cost of each raw
+    shape in ``groups`` (same order). Shapes that quantize alike merge
+    into one class; each class is capped at the multiplicity that could
+    fit and split in binary into chunks of 1, 2, 4, ... members, which
+    a dense 0-1 DP over the chunks then solves exactly.
     """
-    best = default
-    for w, v in zip(weights, values):
-        if v > 0 and w < best:
-            best = w
-    return best
+    classes: dict[tuple[int, int, float], list[list[int]]] = {}
+    for (_, _, v), w, c, members in zip(groups, weights, costs, groups.values()):
+        if v > 0 and w <= W and c <= K:
+            classes.setdefault((w, c, v), []).append(members)
 
+    # Classes of one quantized (w, c) differ only in value, so an optimum
+    # uses the most valuable members first and never more than could
+    # fit: cap each class at the room its more valuable peers leave.
+    room: dict[tuple[int, int], int] = {}
+    multiplicity: dict[tuple[int, int, float], int] = {}
+    for key in sorted(classes, key=lambda k: -k[2]):
+        w, c, _ = key
+        left = room.get((w, c))
+        if left is None:
+            left = min(W // w if w else len(items), K // c if c else len(items))
+        m = min(sum(len(run) for run in classes[key]), left)
+        room[(w, c)] = left - m
+        multiplicity[key] = m
 
-def _backtrack_1d(
-    weights: Sequence[int],
-    values: Sequence[float],
-    prefix_w: Sequence[int],
-    minw: int,
-    lo: int,
-    hi: int,
-    W: int,
-    chosen: list[int],
-) -> None:
-    """Append the optimal subset of items[lo:hi] at capacity W to ``chosen``."""
-    if lo >= hi or W < minw:
-        # minw is the cheapest positive item anywhere, so no positive
-        # item in this window can fit either — the subtree is empty.
-        return
-    if prefix_w[hi] - prefix_w[lo] <= W:
-        chosen.extend(i for i in range(lo, hi) if values[i] > 0)
-        return
-    if hi - lo == 1:
-        if values[lo] > 0 and weights[lo] <= W:
-            chosen.append(lo)
-        return
-    if hi - lo == 2:
-        # Closed form for a two-item node that failed the all-fit check
-        # (so both together never fit): take the lone fitting item, or
-        # the more valuable of the two; the argmax's first-index rule
-        # resolves an exact value tie in favour of the *second* item
-        # (index (0, …) wins the flat argmax). Mirrors the D&C exactly.
-        a, b = lo, lo + 1
-        fa = values[a] > 0 and weights[a] <= W
-        fb = values[b] > 0 and weights[b] <= W
-        if fa and (not fb or values[a] > values[b]):
-            chosen.append(a)
-        elif fb:
-            chosen.append(b)
-        return
-    if hi - lo == 3:
-        # Three-item node: find the D&C capacity split without arrays.
-        # The combined profile left(m) + right(W - m) is piecewise
-        # constant: the single-item left profile steps up at m = wa, and
-        # the pair right profile steps down just past m = W - w for each
-        # right-subset weight w. Every constant run starts at one of
-        # those breakpoints, so evaluating only the breakpoints (in
-        # ascending order) yields both the maximum and the argmax's
-        # first flat index — exactly what the array argmax returns.
-        wa, va = weights[lo], values[lo]
-        wb, vb = weights[lo + 1], values[lo + 1]
-        wc, vc = weights[lo + 2], values[lo + 2]
-        pa = va > 0
-        pb = vb > 0
-        pc = vc > 0
-        pair = vb + vc
+    taken: dict[tuple[int, int, float], int] = {}
+    chunks: list[tuple[tuple[int, int, float], int]] = []
+    for key in classes:
+        m = multiplicity[key]
+        if key[0] == 0 and key[1] == 0:
+            taken[key] = m  # free and valuable: take every member
+            continue
+        size = 1
+        while m > 0:
+            chunks.append((key, min(size, m)))
+            m -= size
+            size *= 2
 
-        def _combined(m: int) -> float:
-            cap = W - m
-            best = 0.0
-            if pb and wb <= cap:
-                best = vb
-            if pc and wc <= cap and vc > best:
-                best = vc
-            if pb and pc and wb + wc <= cap and pair > best:
-                best = pair
-            return va + best if (pa and wa <= m) else best
+    # dp[w, k] = best value within weight w and cost k ("at most"
+    # semantics). A cell is overwritten only on a strict improvement,
+    # and ``better`` records which cells each chunk improved.
+    dp = np.zeros((W + 1, K + 1))
+    improved: list[np.ndarray] = []
+    for (w, c, v), size in chunks:
+        w *= size
+        c *= size
+        cand = dp[: W + 1 - w, : K + 1 - c] + v * size
+        better = cand > dp[w:, c:]
+        np.maximum(dp[w:, c:], cand, out=dp[w:, c:])
+        improved.append(better)
 
-        cps = sorted(
-            {
-                p
-                for p in (0, wa, W - wb + 1, W - wc + 1, W - wb - wc + 1)
-                if 0 <= p <= W
-            }
-        )
-        vals = [_combined(m) for m in cps]
-        split = cps[vals.index(max(vals))]
-        _backtrack_1d(weights, values, prefix_w, minw, lo, lo + 1, split, chosen)
-        _backtrack_1d(
-            weights, values, prefix_w, minw, lo + 1, hi, W - split, chosen
-        )
-        return
-    mid = (lo + hi) // 2
-    left = _dp_values_1d(weights, values, lo, mid, W)
-    right = _dp_values_1d(weights, values, mid, hi, W)
-    # Optimal split of the capacity between the halves ("at most"
-    # semantics makes both profiles monotone, so one pass suffices).
-    left += right[::-1]
-    split = int(left.argmax())
-    _backtrack_1d(weights, values, prefix_w, minw, lo, mid, split, chosen)
-    _backtrack_1d(weights, values, prefix_w, minw, mid, hi, W - split, chosen)
+    w_left, k_left = W, K
+    for (key, size), better in zip(reversed(chunks), reversed(improved)):
+        w, c = key[0] * size, key[1] * size
+        if w <= w_left and c <= k_left and better[w_left - w, k_left - c]:
+            taken[key] = taken.get(key, 0) + size
+            w_left -= w
+            k_left -= c
 
-
-def _backtrack_2d(
-    weights: Sequence[int],
-    costs: Sequence[int],
-    values: Sequence[float],
-    prefix_w: Sequence[int],
-    prefix_k: Sequence[int],
-    minw: int,
-    mink: int,
-    lo: int,
-    hi: int,
-    W: int,
-    K: int,
-    chosen: list[int],
-) -> None:
-    if lo >= hi or W < minw or K < mink:
-        # No positive item anywhere is cheap enough for this residual
-        # capacity (in one of the dimensions), so the subtree is empty.
-        return
-    if (
-        prefix_w[hi] - prefix_w[lo] <= W
-        and prefix_k[hi] - prefix_k[lo] <= K
-    ):
-        chosen.extend(i for i in range(lo, hi) if values[i] > 0)
-        return
-    if hi - lo == 1:
-        if values[lo] > 0 and weights[lo] <= W and costs[lo] <= K:
-            chosen.append(lo)
-        return
-    if hi - lo == 2:
-        # Two-item closed form (see _backtrack_1d); the all-fit check
-        # already failed, so the pair can never be taken together.
-        a, b = lo, lo + 1
-        fa = values[a] > 0 and weights[a] <= W and costs[a] <= K
-        fb = values[b] > 0 and weights[b] <= W and costs[b] <= K
-        if fa and (not fb or values[a] > values[b]):
-            chosen.append(a)
-        elif fb:
-            chosen.append(b)
-        return
-    if hi - lo == 3:
-        # Three-item node without arrays (see _backtrack_1d): the
-        # combined profile is constant on rectangles whose corners are
-        # the step breakpoints of either half, so a lexicographic scan
-        # of the breakpoint grid reproduces the array argmax exactly.
-        wa, ka, va = weights[lo], costs[lo], values[lo]
-        wb, kb, vb = weights[lo + 1], costs[lo + 1], values[lo + 1]
-        wc, kc, vc = weights[lo + 2], costs[lo + 2], values[lo + 2]
-        pa = va > 0
-        pb = vb > 0
-        pc = vc > 0
-        pair = vb + vc
-
-        def _combined(m: int, k: int) -> float:
-            wcap = W - m
-            kcap = K - k
-            best = 0.0
-            if pb and wb <= wcap and kb <= kcap:
-                best = vb
-            if pc and wc <= wcap and kc <= kcap and vc > best:
-                best = vc
-            if (
-                pb
-                and pc
-                and wb + wc <= wcap
-                and kb + kc <= kcap
-                and pair > best
-            ):
-                best = pair
-            return va + best if (pa and wa <= m and ka <= k) else best
-
-        cps_m = sorted(
-            {
-                p
-                for p in (0, wa, W - wb + 1, W - wc + 1, W - wb - wc + 1)
-                if 0 <= p <= W
-            }
-        )
-        cps_k = sorted(
-            {
-                p
-                for p in (0, ka, K - kb + 1, K - kc + 1, K - kb - kc + 1)
-                if 0 <= p <= K
-            }
-        )
-        grid = [(_combined(m, k), m, k) for m in cps_m for k in cps_k]
-        best_v = max(v for v, _, _ in grid)
-        _, m, k = next(t for t in grid if t[0] == best_v)
-        _backtrack_2d(
-            weights, costs, values, prefix_w, prefix_k, minw, mink,
-            lo, lo + 1, m, k, chosen,
-        )
-        _backtrack_2d(
-            weights, costs, values, prefix_w, prefix_k, minw, mink,
-            lo + 1, hi, W - m, K - k, chosen,
-        )
-        return
-    mid = (lo + hi) // 2
-    left = _dp_values_2d(weights, costs, values, lo, mid, W, K)
-    right = _dp_values_2d(weights, costs, values, mid, hi, W, K)
-    # Flipping both axes of a C-contiguous array reverses its flat
-    # buffer, so the combine runs as a single 1-D strided add instead of
-    # a 2-D reversed iteration (same element pairing, same additions).
-    flat = left.reshape(-1)
-    flat += right.reshape(-1)[::-1]
-    m, k = divmod(int(flat.argmax()), K + 1)
-    _backtrack_2d(
-        weights, costs, values, prefix_w, prefix_k, minw, mink,
-        lo, mid, m, k, chosen,
-    )
-    _backtrack_2d(
-        weights, costs, values, prefix_w, prefix_k, minw, mink,
-        mid, hi, W - m, K - k, chosen,
-    )
+    chosen: list[int] = []
+    for key, count in taken.items():
+        runs = classes[key]
+        members = runs[0] if len(runs) == 1 else heapq.merge(*runs)
+        chosen.extend(islice(members, count))
+    return _result(items, chosen)
 
 
 # -- public solvers -----------------------------------------------------------
@@ -495,21 +259,13 @@ def knapsack_1d(
 ) -> PackResult:
     """The paper's DP: maximize total value within the memory capacity.
 
-    O(n * w) time with w = capacity / quantum (vectorized over the
-    capacity axis with NumPy), O(w * log n) live memory.
+    O(chunks * w) time and memory with w = capacity / quantum, where
+    chunks depends on the distinct quantized shapes, not on len(items).
     """
     _validate(capacity, quantum)
-    if len(items) == 0:
-        return _result(items, [])
-    W, weights = _consistent_grid(
-        [item.weight for item in items], capacity, quantum
-    )
-    values = [item.value for item in items]
-    chosen: list[int] = []
-    prefix_w = _positive_prefix(weights, values)
-    minw = _min_positive(weights, values, W + 1)
-    _backtrack_1d(weights, values, prefix_w, minw, 0, len(items), W, chosen)
-    return _result(items, chosen)
+    groups = _shape_groups(items)
+    W, weights = _consistent_grid([w for w, _, _ in groups], capacity, quantum)
+    return _solve(items, groups, W, weights, 0, [0] * len(weights))
 
 
 def knapsack_cardinality(
@@ -526,25 +282,10 @@ def knapsack_cardinality(
     _validate(capacity, quantum)
     if max_items < 0:
         raise ValueError("max_items must be non-negative")
-    n = len(items)
-    K = min(max_items, n)
-    if n == 0 or K == 0:
-        return _result(items, [])
-    W, weights = _consistent_grid(
-        [item.weight for item in items], capacity, quantum
-    )
-    values = [item.value for item in items]
-    costs = [1] * n  # every item occupies one host slot
-    chosen: list[int] = []
-    prefix_w = _positive_prefix(weights, values)
-    prefix_k = _positive_prefix(costs, values)
-    minw = _min_positive(weights, values, W + 1)
-    mink = _min_positive(costs, values, K + 1)
-    _backtrack_2d(
-        weights, costs, values, prefix_w, prefix_k, minw, mink,
-        0, n, W, K, chosen,
-    )
-    return _result(items, chosen)
+    groups = _shape_groups(items)
+    W, weights = _consistent_grid([w for w, _, _ in groups], capacity, quantum)
+    K = min(max_items, len(items))
+    return _solve(items, groups, W, weights, K, [1] * len(weights))
 
 
 def knapsack_thread_capped(
@@ -561,28 +302,14 @@ def knapsack_thread_capped(
         raise ValueError("thread_capacity must be positive")
     if thread_quantum <= 0:
         raise ValueError("thread_quantum must be positive")
-    n = len(items)
-    if n == 0:
-        return _result(items, [])
-    W, weights = _consistent_grid(
-        [item.weight for item in items], capacity, quantum
-    )
+    groups = _shape_groups(items)
+    W, weights = _consistent_grid([w for w, _, _ in groups], capacity, quantum)
     T, threads = _consistent_grid(
-        [float(item.threads) for item in items],
+        [float(t) for _, t, _ in groups],
         float(thread_capacity),
         float(thread_quantum),
     )
-    values = [item.value for item in items]
-    chosen: list[int] = []
-    prefix_w = _positive_prefix(weights, values)
-    prefix_t = _positive_prefix(threads, values)
-    minw = _min_positive(weights, values, W + 1)
-    mint = _min_positive(threads, values, T + 1)
-    _backtrack_2d(
-        weights, threads, values, prefix_w, prefix_t, minw, mint,
-        0, n, W, T, chosen,
-    )
-    return _result(items, chosen)
+    return _solve(items, groups, W, weights, T, threads)
 
 
 def brute_force(

@@ -22,12 +22,6 @@ from .knapsack import (
 from .value import ValueFunction, paper_value_floored
 
 
-#: Solved-packing memo bound; hitting it clears the whole cache (the
-#: same wholesale policy as the ClassAd compile caches — keys recur in
-#: phases, so partial eviction buys little).
-_PACKING_CACHE_LIMIT = 4096
-
-
 class PackableJob(Protocol):
     """What the packer needs to know about a job (JobProfile satisfies it)."""
 
@@ -95,14 +89,8 @@ class DevicePacker:
         # packs; jobs cluster on a few (memory, threads) pairs and every
         # repack used to rebuild an Item per job.
         self._item_cache: dict[tuple[float, int], Item] = {}
-        # Solved packings keyed by (item multiset-in-order, capacity,
-        # count bound): repacks recur on identical candidate signatures —
-        # a device freeing the same amount over a stable queue — and the
-        # DP is pure, so the whole solve can be replayed from cache.
-        self._packing_cache: dict[tuple, "PackResult"] = {}
-        #: Knapsack DP invocations actually run vs avoided by the cache.
+        #: Knapsack DP invocations run.
         self.solver_calls = 0
-        self.packing_cache_hits = 0
 
     def _item_value(self, declared_threads: int) -> float:
         cached = self._value_cache.get(declared_threads)
@@ -137,14 +125,6 @@ class DevicePacker:
                 )
                 cache[key] = item
             items.append(item)
-        cache_key = (tuple(items), free_memory_mb, max_jobs)
-        cached = self._packing_cache.get(cache_key)
-        prof = _profile.ACTIVE
-        if cached is not None:
-            self.packing_cache_hits += 1
-            if prof is not None:
-                prof.packing_cache_hits += 1
-            return self._to_packing(jobs, cached)
         if max_jobs is not None:
             # The count bound cannot bind when even the smallest items
             # cannot reach it within the memory capacity; drop the
@@ -157,6 +137,7 @@ class DevicePacker:
                     max_jobs = None
 
         self.solver_calls += 1
+        prof = _profile.ACTIVE
         if prof is not None:
             prof.solver_calls += 1
         if self.thread_capacity is not None:
@@ -175,13 +156,6 @@ class DevicePacker:
         else:
             result = knapsack_1d(items, free_memory_mb, quantum=self.quantum_mb)
 
-        if len(self._packing_cache) >= _PACKING_CACHE_LIMIT:
-            self._packing_cache.clear()
-        self._packing_cache[cache_key] = result
-        return self._to_packing(jobs, result)
-
-    @staticmethod
-    def _to_packing(jobs: Sequence[PackableJob], result) -> DevicePacking:
         chosen_ids = tuple(jobs[i].job_id for i in result.indices)
         return DevicePacking(
             chosen=chosen_ids,

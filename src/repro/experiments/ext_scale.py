@@ -69,7 +69,7 @@ def run(
         config = PAPER_CLUSTER.resized(nodes)
         # A private profiler per pool size supplies the event and cycle
         # counts; the previously active one (e.g. the CLI's --profile)
-        # is restored afterwards.
+        # is restored afterwards with the private counts folded in.
         previous = sim_profile.ACTIVE
         prof = sim_profile.SimProfiler()
         sim_profile.ACTIVE = prof
@@ -81,6 +81,8 @@ def run(
             prof.stop()
         finally:
             sim_profile.ACTIVE = previous
+            if previous is not None:
+                previous.absorb(prof)
         cycles = prof.negotiation_cycles
         rows.append(
             {

@@ -79,16 +79,22 @@ def run(
 
 
 def render(result: Fig8Result) -> str:
-    rows = []
-    for distribution, by_config in result.makespans.items():
-        rows.append(
-            [
-                distribution,
-                f"{by_config['MC']:.0f}",
-                f"{by_config['MCC']:.0f} (-{result.reduction(distribution, 'MCC'):.0f}%)",
-                f"{by_config['MCCK']:.0f} (-{result.reduction(distribution, 'MCCK'):.0f}%)",
-            ]
-        )
+    def cell(distribution: str, configuration: str) -> str:
+        # Signed change vs MC: a reduction prints as "-27%", a slowdown
+        # (negative reduction) as "+27%".
+        change = -result.reduction(distribution, configuration)
+        makespan = result.makespans[distribution][configuration]
+        return f"{makespan:.0f} ({change:+.0f}%)"
+
+    rows = [
+        [
+            distribution,
+            f"{by_config['MC']:.0f}",
+            cell(distribution, "MCC"),
+            cell(distribution, "MCCK"),
+        ]
+        for distribution, by_config in result.makespans.items()
+    ]
     return format_table(
         ["distribution", "MC (s)", "MCC (s)", "MCCK (s)"],
         rows,

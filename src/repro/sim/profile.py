@@ -59,9 +59,11 @@ class SimProfiler:
     repack_passes / devices_repacked:
         Knapsack scheduler: completion-triggered repack passes run, and
         dirty devices repacked across them.
-    solver_calls / packing_cache_hits:
-        Knapsack solves actually run versus packings served from the
-        packer's (capacity, candidate-set) cache.
+    solver_calls:
+        Knapsack solves run by the packer.
+    packing_cache_hits:
+        Always 0: the packer has no solve cache. Kept only because the
+        benchmark's traced run (``perfbench``) reads it.
     index_jobs_examined / index_jobs_skipped / index_buckets_peak:
         Pending-index bucket traffic: jobs streamed from fitting weight
         buckets, jobs in heavier buckets never touched, and the largest
@@ -218,7 +220,7 @@ class SimProfiler:
             lines.append(
                 f"{'compile cache evictions':<24}{self.compile_evictions:>16,}"
             )
-        if self.repack_passes or self.solver_calls or self.packing_cache_hits:
+        if self.repack_passes or self.solver_calls:
             examined = self.index_jobs_examined
             skipped = self.index_jobs_skipped
             total = examined + skipped
@@ -234,9 +236,6 @@ class SimProfiler:
                 f"{'knapsack solver calls':<24}{self.solver_calls:>16,}"
             )
             lines.append(
-                f"{'packing cache hits':<24}{self.packing_cache_hits:>16,}"
-            )
-            lines.append(
                 f"{'index jobs examined':<24}{examined:>16,}"
             )
             lines.append(
@@ -247,6 +246,26 @@ class SimProfiler:
                 f"{'index buckets peak':<24}{self.index_buckets_peak:>16,}"
             )
         return "\n".join(lines)
+
+    def absorb(self, other: "SimProfiler") -> None:
+        """Add ``other``'s counters into this profiler.
+
+        Counts and wall seconds add, per-kind tables add key by key, and
+        peaks keep the larger value. A caller that swaps in a private
+        profiler for part of a run (X7's per-pool-size sweep) folds it
+        back so the outer ``--profile`` table still covers that work.
+        """
+        for name in self.__slots__:
+            if name == "_started":
+                continue
+            mine, theirs = getattr(self, name), getattr(other, name)
+            if isinstance(mine, dict):
+                for key, value in theirs.items():
+                    mine[key] = mine.get(key, 0) + value
+            elif name.endswith("_peak"):
+                setattr(self, name, max(mine, theirs))
+            else:
+                setattr(self, name, mine + theirs)
 
     def __repr__(self) -> str:
         return (

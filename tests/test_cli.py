@@ -104,6 +104,20 @@ class TestObservabilityFlags:
         assert main(["fig7", "--job-count", "50", "--profile", "--jobs", "1"]) == 0
         assert "sim profiler" in capsys.readouterr().out
 
+    def test_ext_scale_profile_counts_its_runs(self, capsys):
+        # X7 profiles each pool size privately; those counts must reach
+        # the CLI's table instead of leaving it all zeros.
+        assert main(["ext-scale", "--job-count", "8", "--profile"]) == 0
+        out = capsys.readouterr().out
+        total = next(
+            line for line in out.splitlines() if line.startswith("total ")
+        )
+        scheduled, fired = (
+            int(field.replace(",", "")) for field in total.split()[1:3]
+        )
+        assert fired > 0 and scheduled >= fired
+        assert "negotiation cycles" in out
+
     def test_trace_writes_valid_json(self, tmp_path, capsys):
         path = tmp_path / "trace.json"
         assert main(["table2", "--job-count", "12", "--trace", str(path)]) == 0

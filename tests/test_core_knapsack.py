@@ -352,6 +352,54 @@ class TestPropertyCrossCheck:
         assert capped.total_threads <= thread_capacity
         assert capped.total_weight <= capacity + 1e-9
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=6),  # weight in quanta
+                st.floats(min_value=0, max_value=5, allow_nan=False),
+                st.integers(min_value=0, max_value=3),  # threads in quanta
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        st.lists(st.integers(min_value=0, max_value=3), max_size=12),
+        st.integers(min_value=0, max_value=14),
+        st.integers(min_value=0, max_value=8),
+        st.integers(min_value=1, max_value=10),
+    )
+    def test_class_heavy_inputs_match_brute_force(
+        self, shapes, picks, capacity_units, max_items, thread_units
+    ):
+        """Items drawn from at most 4 shapes, so classes hold several
+        members and the binary split into chunks is exercised."""
+        pool = [Item(weight=w * 50.0, value=round(v, 3), threads=t * 4)
+                for w, v, t in shapes]
+        items = [pool[i % len(pool)] for i in picks]
+        capacity = capacity_units * 50.0
+        thread_capacity = thread_units * 4
+
+        plain = knapsack_1d(items, capacity)
+        reference = brute_force(items, capacity)
+        assert plain.total_value == pytest.approx(reference.total_value, abs=1e-6)
+        assert plain.total_weight <= capacity
+
+        card = knapsack_cardinality(items, capacity, max_items=max_items)
+        reference = brute_force(items, capacity, max_items=max_items)
+        assert card.total_value == pytest.approx(reference.total_value, abs=1e-6)
+        assert card.count <= max_items
+        assert card.total_weight <= capacity
+
+        capped = knapsack_thread_capped(
+            items, capacity, thread_capacity=thread_capacity
+        )
+        reference = brute_force(items, capacity, thread_capacity=thread_capacity)
+        assert capped.total_value == pytest.approx(
+            reference.total_value, abs=1e-6
+        )
+        assert capped.total_threads <= thread_capacity
+        assert capped.total_weight <= capacity
+
     @settings(max_examples=60, deadline=None)
     @given(
         st.lists(
@@ -378,3 +426,20 @@ class TestPropertyCrossCheck:
         )
         assert card.total_value == pytest.approx(plain.total_value, abs=1e-6)
         assert capped.total_value == pytest.approx(plain.total_value, abs=1e-6)
+
+
+class TestTieBreak:
+    """The documented canonical tie-break: within a class of identical
+    items the solvers take the FIFO-earliest (lowest-index) members."""
+
+    def test_identical_items_give_lowest_indices(self):
+        items = [Item(50, 1.0, threads=8)] * 7
+        assert knapsack_1d(items, 150).indices == (0, 1, 2)
+        assert knapsack_cardinality(items, 1000, max_items=2).indices == (0, 1)
+        capped = knapsack_thread_capped(items, 1000, thread_capacity=24)
+        assert capped.indices == (0, 1, 2)
+
+    def test_interleaved_class_members_taken_in_fifo_order(self):
+        a, b = Item(100, 1.0), Item(300, 0.5)
+        items = [b, a, b, a, a, a]
+        assert knapsack_1d(items, 200).indices == (1, 3)

@@ -77,6 +77,17 @@ class TestFig8:
         assert result.reduction("normal", "MCC") != 0
         assert "Fig. 8" in fig8.render(result)
 
+    def test_render_signs_the_change_vs_mc(self):
+        # MCC 27% faster than MC, MCCK 27% slower: one sign each, never "--".
+        result = fig8.Fig8Result(
+            job_count=30,
+            makespans={"normal": {"MC": 100.0, "MCC": 73.0, "MCCK": 127.0}},
+        )
+        text = fig8.render(result)
+        assert "73 (-27%)" in text
+        assert "127 (+27%)" in text
+        assert "--" not in text.splitlines()[-1]
+
 
 class TestFig9:
     def test_series_alignment(self):
