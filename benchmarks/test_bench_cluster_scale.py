@@ -7,11 +7,16 @@ the machine list, lazy node materialization means idle nodes never build
 device stacks, and the bucketed pending index means repacks never touch
 jobs that cannot fit. This bench measures both halves:
 
-* **idle cycles** — a pool with an empty queue, timing
-  ``negotiate_once`` directly (no event loop, no construction cost in
-  the window). The acceptance floor: the per-cycle cost at 1024 idle
-  nodes must be <= 3x the 64-node cost. Before the fast path this ratio
-  was ~16x (every cycle walked every registered startd).
+* **idle cycles** — timing ``negotiate_once`` directly (no event loop,
+  no construction cost in the window) on an idle pool in four modes:
+  an empty queue; one pending job the knapsack scheduler has parked
+  (the cycle walks the queue and asks the view whether anything is
+  free); the same with heartbeat staleness on; and the same under the
+  message fabric, after the first snapshot response has landed. The
+  acceptance floor, per mode: the per-cycle cost at 1024 idle nodes
+  must be <= 3x the 64-node cost. Before the one-cycle-view refactor
+  only the empty-queue row met it — the other three built a snapshot
+  of every node each cycle, about 10-20x from 64 to 1024 nodes.
 * **active sweep** — the X7 experiment (fixed Table-I workload on
   growing pools), reporting events/sec, wall-clock per negotiation
   cycle, and peak RSS.
@@ -34,12 +39,17 @@ from repro.cluster import ComputeNode
 from repro.condor import CondorPool, PinnedPlacement
 from repro.core import DevicePacker, KnapsackClusterScheduler
 from repro.experiments import ext_scale
+from repro.net.profile import NetProfile
 from repro.sim import Environment
+from repro.workloads import HostPhase, JobProfile, OffloadPhase
 
 NODE_COUNTS = (8, 64, 256, 1024)
 SLOTS_PER_NODE = 16
 IDLE_CYCLES = 200
 SAMPLES = 3
+#: Idle-cycle rows: an empty queue, then one parked pending job in
+#: direct, heartbeat-staleness and fabric mode.
+IDLE_MODES = ("empty", "parked", "heartbeat", "fabric")
 
 #: Acceptance floor: an idle cycle on a 1024-node pool must cost no more
 #: than 3x the 64-node cycle (it is O(active), and both are idle).
@@ -57,7 +67,7 @@ def _active_jobs() -> int:
     return 64
 
 
-def _idle_pool(nodes: int) -> CondorPool:
+def _idle_pool(nodes: int, mode: str) -> CondorPool:
     env = Environment()
     machines = [
         ComputeNode(env, f"n{i}", mode="cosmic") for i in range(nodes)
@@ -69,18 +79,38 @@ def _idle_pool(nodes: int) -> CondorPool:
         slots_per_node=SLOTS_PER_NODE,
         cycle_interval=5.0,
         dispatch_latency=0.5,
+        heartbeat_timeout=90.0 if mode == "heartbeat" else None,
+        net=NetProfile() if mode == "fabric" else None,
     )
     KnapsackClusterScheduler(
         pool, packer=DevicePacker(thread_capacity=240)
     ).attach()
+    if mode == "heartbeat":
+        for startd in pool.startds:
+            pool.collector.record_heartbeat(startd.name, env.now)
+    if mode == "fabric":
+        pool.start()
+        env.run(until=1.0)  # the first snapshot response lands
+    if mode != "empty":
+        # A post-attach arrival: the scheduler parks it until a repack.
+        pool.submit([
+            JobProfile(
+                job_id="parked",
+                app="idle",
+                phases=(HostPhase(1.0),
+                        OffloadPhase(work=1.0, threads=60, memory_mb=1000.0)),
+                declared_memory_mb=1000.0,
+                declared_threads=60,
+            )
+        ])
     return pool
 
 
-def _idle_cycle_us(nodes: int) -> float:
-    """Best-of-samples cost of one empty negotiation cycle, in us."""
+def _idle_cycle_us(nodes: int, mode: str) -> float:
+    """Best-of-samples cost of one idle negotiation cycle, in us."""
     best = float("inf")
     for _ in range(SAMPLES):
-        pool = _idle_pool(nodes)
+        pool = _idle_pool(nodes, mode)
         negotiator = pool.negotiator
         negotiator.negotiate_once()  # warm caches
         gc.collect()
@@ -98,13 +128,17 @@ def _idle_cycle_us(nodes: int) -> float:
 
 def _render(idle_us: dict, result: ext_scale.ScaleResult) -> str:
     lines = [
-        f"Cluster-scale bench (idle cycle: best of {SAMPLES} x "
-        f"{IDLE_CYCLES}-cycle batches)",
+        f"Cluster-scale bench (idle cycle in us: best of {SAMPLES} x "
+        f"{IDLE_CYCLES}-cycle batches; every mode but 'empty' has one "
+        "parked job)",
         "",
-        f"{'nodes':>6} {'idle cycle(us)':>15}",
+        f"{'nodes':>6} " + " ".join(f"{mode:>10}" for mode in IDLE_MODES),
     ]
     for nodes in NODE_COUNTS:
-        lines.append(f"{nodes:>6} {idle_us[nodes]:>15.1f}")
+        lines.append(
+            f"{nodes:>6} "
+            + " ".join(f"{idle_us[mode][nodes]:>10.1f}" for mode in IDLE_MODES)
+        )
     lines += [
         "",
         f"Active sweep ({result.job_count} Table-I jobs, "
@@ -123,14 +157,21 @@ def _render(idle_us: dict, result: ext_scale.ScaleResult) -> str:
 
 def test_bench_cluster_scale(record_result, record_bench_json):
     random.seed(0)
-    idle_us = {nodes: _idle_cycle_us(nodes) for nodes in NODE_COUNTS}
+    idle_us = {
+        mode: {nodes: _idle_cycle_us(nodes, mode) for nodes in NODE_COUNTS}
+        for mode in IDLE_MODES
+    }
     result = ext_scale.run(jobs=_active_jobs(), node_counts=NODE_COUNTS)
 
     record_result("cluster_scale", _render(idle_us, result))
 
     records = [
-        bench_record(f"idle@{nodes}", "idle_cycle_us", round(us, 2), "us")
-        for nodes, us in idle_us.items()
+        bench_record(
+            f"idle@{nodes}" if mode == "empty" else f"idle-{mode}@{nodes}",
+            "idle_cycle_us", round(us, 2), "us",
+        )
+        for mode in IDLE_MODES
+        for nodes, us in idle_us[mode].items()
     ]
     for row in result.rows:
         name = f"active@{row['nodes']}"
@@ -149,8 +190,8 @@ def test_bench_cluster_scale(record_result, record_bench_json):
         "scale",
         records,
         baseline_note=(
-            "idle_cycle_us floor: 1024-node idle cycle <= "
-            f"{MAX_IDLE_RATIO}x the 64-node cycle"
+            "idle_cycle_us floor: in every mode, the 1024-node idle "
+            f"cycle <= {MAX_IDLE_RATIO}x the 64-node cycle"
         ),
     )
 
@@ -159,9 +200,11 @@ def test_bench_cluster_scale(record_result, record_bench_json):
     for row in result.rows:
         assert row["completed"] == result.job_count
 
-    ratio = idle_us[1024] / max(idle_us[64], 1e-3)
-    assert idle_us[1024] <= MAX_IDLE_RATIO * idle_us[64] + IDLE_SLACK_US, (
-        f"idle cycle at 1024 nodes ({idle_us[1024]:.1f}us) is "
-        f"{ratio:.1f}x the 64-node cycle ({idle_us[64]:.1f}us); "
-        f"floor is {MAX_IDLE_RATIO}x — the O(active) fast path regressed"
-    )
+    for mode in IDLE_MODES:
+        small, large = idle_us[mode][64], idle_us[mode][1024]
+        ratio = large / max(small, 1e-3)
+        assert large <= MAX_IDLE_RATIO * small + IDLE_SLACK_US, (
+            f"{mode} idle cycle at 1024 nodes ({large:.1f}us) is "
+            f"{ratio:.1f}x the 64-node cycle ({small:.1f}us); "
+            f"floor is {MAX_IDLE_RATIO}x — the O(active) fast path regressed"
+        )

@@ -182,6 +182,16 @@ def _baseline_pending(schedd):
     return idle
 
 
+def _baseline_exhausted(policy, snapshots) -> bool:
+    """The pre-PR ``policy.exhausted`` over the eager snapshot list."""
+    if isinstance(policy, ExclusivePlacement):
+        return not any(
+            s.free_slots > 0 and s.first_free_device() is not None
+            for s in snapshots
+        )
+    return all(s.free_slots <= 0 for s in snapshots)
+
+
 def _baseline_cycle(pool: CondorPool):
     """One cycle of the pre-PR negotiate_once (commit 21cb224), verbatim
     control flow: interpreted evaluation, Literal-False park check only,
@@ -199,7 +209,7 @@ def _baseline_cycle(pool: CondorPool):
         ads = {id(s): _dict_machine_ad(s) for s in snapshots}
         evals = 0
         for record in _baseline_pending(schedd):
-            if policy.exhausted(snapshots):
+            if _baseline_exhausted(policy, snapshots):
                 break
             req = record.ad.get_expr("Requirements")
             if isinstance(req, Literal) and req.value is False:

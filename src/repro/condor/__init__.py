@@ -26,7 +26,7 @@ from .claims import (
     ScheddClaimManager,
     StartdClaimAgent,
 )
-from .collector import Collector, build_name_index
+from .collector import Collector
 from .compile import RequirementsPlan, compile_expr, requirements_plan
 from .negotiator import (
     BestFitPlacement,
@@ -78,7 +78,6 @@ __all__ = [
     "MATCHED",
     "ScheddClaimManager",
     "StartdClaimAgent",
-    "build_name_index",
     "DeviceSnapshot",
     "ERROR",
     "ExclusivePlacement",

@@ -17,12 +17,16 @@ snapshots until it reports again. Heartbeats are opt-in: with no
 is identical to the fault-free collector. Staleness transitions are
 reported to the observability layer (a trace instant plus the
 ``collector.stale_drops`` / ``collector.reregistrations`` counters) so
-silent capacity loss shows up in traces.
+silent capacity loss shows up in traces. Staleness is event-driven (a
+heap of heartbeat times, drained at query time), so liveness is one
+more delta to the free-candidate set, and every negotiation cycle in
+every mode runs over one lazy :class:`LiveCycleView`.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+import heapq
+from typing import Callable, Collection, Optional
 
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
@@ -33,23 +37,6 @@ from .startd import Startd
 #: only by case collide under the case-insensitive index): the negotiator
 #: must fall back to a full scan rather than pick one arbitrarily.
 AMBIGUOUS_NAME = object()
-
-
-def build_name_index(
-    snapshots: list[MachineSnapshot],
-) -> dict[str, object]:
-    """Slot-name → snapshot index for pinned-job routing.
-
-    Lowercased (ClassAd string comparison is case-insensitive); a
-    case-collision maps to :data:`AMBIGUOUS_NAME`. Shared between the
-    collector's direct-mode :meth:`Collector.indexed_snapshots` and the
-    fabric-mode negotiator, which indexes snapshot-response payloads.
-    """
-    index: dict[str, object] = {}
-    for snapshot in snapshots:
-        key = slot_name(snapshot.node).lower()
-        index[key] = AMBIGUOUS_NAME if key in index else snapshot
-    return index
 
 
 class Collector:
@@ -75,11 +62,16 @@ class Collector:
         #: Last observed staleness per heartbeat-tracked node, for
         #: transition (not per-query) observability emissions.
         self._stale: dict[str, bool] = {}
+        #: Min-heap of (heartbeat time, name), one entry per heartbeat;
+        #: a node can only go stale once its newest one reaches the head.
+        self._beats: list[tuple[float, str]] = []
+        #: Nodes a heartbeat or reinstatement may have revived.
+        self._recheck: set[str] = set()
         #: Staleness drops / re-registrations observed (transitions).
         self.stale_drops = 0
         self.reregistrations = 0
         #: Delta-maintained candidate set: names of nodes that are alive,
-        #: not deregistered, and have at least one free host slot. Every
+        #: neither deregistered nor stale, and have a free host slot. Every
         #: job Requirements shape includes ``TARGET.FreeSlots >= 1``, so
         #: matchmaking decisions restricted to this set are identical to
         #: a full scan; startds push 0<->free transitions as they happen.
@@ -116,6 +108,7 @@ class Collector:
         if name not in self._startds:
             raise KeyError(f"node {name!r} is not registered")
         self._dead.discard(name)
+        self._recheck.add(name)
         self.refresh_membership(self._startds[name])
 
     def crash_reset(self) -> None:
@@ -131,16 +124,21 @@ class Collector:
         self._stored.clear()
         self._heartbeats.clear()
         self._stale.clear()
+        self._beats.clear()
+        self._recheck.clear()
+        for startd in self._startds.values():
+            self.refresh_membership(startd)
 
     def refresh_membership(self, startd: Startd) -> None:
         """Re-derive one node's presence in the free-candidate set.
 
-        Called on registration and by the startd itself whenever its
-        free-slot count crosses zero or its liveness flips, keeping the
-        set O(1)-current without any per-cycle rebuild.
+        Called on registration, on liveness transitions, and by the
+        startd itself whenever its free-slot count crosses zero or its
+        liveness flips, keeping the set O(1)-current without any
+        per-cycle rebuild.
         """
         name = startd.name
-        if startd.alive and name not in self._dead and startd.free_slots > 0:
+        if startd.alive and startd.free_slots > 0 and self._offered(name):
             self._free.add(name)
         else:
             self._free.discard(name)
@@ -150,6 +148,10 @@ class Collector:
         if name not in self._startds:
             raise KeyError(f"node {name!r} is not registered")
         self._heartbeats[name] = now
+        if self.heartbeat_timeout is not None:
+            heapq.heappush(self._beats, (now, name))
+            if self._stale.get(name, False):
+                self._recheck.add(name)
 
     # -- fabric store mode ------------------------------------------------
 
@@ -170,23 +172,45 @@ class Collector:
     # -- liveness ---------------------------------------------------------
 
     def is_alive(self, name: str, now: Optional[float] = None) -> bool:
-        """Whether ``name`` should be offered to the negotiator.
+        """Whether ``name`` is offered to the negotiator at ``now``.
 
         Deregistered nodes are dead. Staleness applies only when a
-        timeout is configured, ``now`` is supplied, *and* the node has
-        ever heartbeated — so pools that never enable heartbeats behave
-        exactly as before.
+        timeout is configured and the node has ever heartbeated — so
+        pools that never enable heartbeats behave exactly as before.
+        Like :meth:`snapshots`, this is a query: staleness transitions
+        due by ``now`` are applied first.
         """
-        if name in self._dead:
-            return False
-        if (
-            self.heartbeat_timeout is not None
-            and now is not None
-            and name in self._heartbeats
-            and now - self._heartbeats[name] > self.heartbeat_timeout
-        ):
-            return False
-        return True
+        self._drain(now)
+        return self._offered(name) is not None
+
+    def _offered(self, name: str) -> Optional[Startd]:
+        """``name``'s startd unless it is deregistered or stale."""
+        if name in self._dead or self._stale.get(name, False):
+            return None
+        return self._startds[name]
+
+    def _drain(self, now: Optional[float]) -> None:
+        """Apply every staleness transition due by ``now``.
+
+        Visits only the nodes whose staleness can have flipped since the
+        previous query, in registration order — the same transitions,
+        instants and order as running :meth:`_note_staleness` over every
+        node. Queries come at non-decreasing ``now``.
+        """
+        if now is None:
+            return
+        due = self._recheck
+        beats = self._beats
+        while beats and now - beats[0][0] > self.heartbeat_timeout:
+            beat, name = heapq.heappop(beats)
+            if self._heartbeats.get(name) == beat:
+                due.add(name)
+        if not due:
+            return
+        for name in sorted(due, key=self._reg_index.__getitem__):
+            self._note_staleness(name, now)
+            self.refresh_membership(self._startds[name])
+        due.clear()
 
     def _note_staleness(self, name: str, now: Optional[float]) -> None:
         """Track heartbeat-staleness transitions and report them."""
@@ -238,50 +262,45 @@ class Collector:
         return list(self._startds.values())
 
     def snapshots(self, now: Optional[float] = None) -> list[MachineSnapshot]:
-        """Current state of every live node, in registration order.
+        """Current state of every offered node, in registration order.
 
-        Store mode returns copies of the last received machine-updates
-        (nodes that never reported are absent); direct mode reads each
-        startd live.
+        Store mode returns the stored machine-updates themselves (never
+        mutated; nodes that never reported are absent) — the cycle view
+        copies one on touch; direct mode reads each startd live.
         """
-        out: list[MachineSnapshot] = []
-        for s in self._startds.values():
-            self._note_staleness(s.name, now)
-            if not self.is_alive(s.name, now):
-                continue
-            if self._use_store:
-                stored = self._stored.get(s.name)
-                if stored is not None:
-                    out.append(copy_snapshot(stored))
-            else:
-                out.append(s.snapshot())
-        return out
+        self._drain(now)
+        offered = [s for s in self._startds.values() if self._offered(s.name)]
+        if not self._use_store:
+            return [s.snapshot() for s in offered]
+        stored = self._stored
+        return [stored[s.name] for s in offered if s.name in stored]
 
     def indexed_snapshots(
         self, now: Optional[float] = None
     ) -> tuple[list[MachineSnapshot], dict[str, object]]:
-        """Snapshots plus a slot-name index for pinned-job routing.
+        """Snapshots plus a lowercased slot-name index over them.
 
-        Because every live snapshot appears in the index, a miss proves
-        no machine advertises that name, and a hit is the *only* machine
-        that can satisfy ``TARGET.Name == <literal>``. See
-        :func:`build_name_index`.
+        Every offered snapshot appears in the index, so a miss proves no
+        machine advertises that name; a case-collision maps to
+        :data:`AMBIGUOUS_NAME`.
         """
         snapshots = self.snapshots(now)
-        return snapshots, build_name_index(snapshots)
+        index: dict[str, object] = {}
+        for snapshot in snapshots:
+            key = slot_name(snapshot.node).lower()
+            index[key] = AMBIGUOUS_NAME if key in index else snapshot
+        return snapshots, index
 
-    def live_view(self, use_index: bool) -> Optional["LiveCycleView"]:
-        """A lazy per-cycle view over the delta-maintained live sets.
+    def live_view(self, now: Optional[float] = None) -> "LiveCycleView":
+        """One negotiation cycle's lazy view of the pool at ``now``.
 
-        Only available when neither heartbeat staleness nor fabric store
-        mode is in play — both need the per-query full walk (staleness
-        transitions are observable; stored ads shadow live state). The
-        returned view builds snapshots on demand, so a cycle that never
-        probes a machine never pays for it.
+        A query, like :meth:`snapshots`. Direct mode builds a startd's
+        snapshot on first touch; store mode copies its stored ad.
         """
-        if self.heartbeat_timeout is not None or self._use_store:
-            return None
-        return LiveCycleView(self, use_index)
+        if self._use_store:
+            return LiveCycleView.of_ads(self, self.snapshots(now))
+        self._drain(now)
+        return LiveCycleView(self, self._free, self._offered, Startd.snapshot)
 
     def __len__(self) -> int:
         return len(self._startds)
@@ -292,61 +311,89 @@ class Collector:
 
 
 class LiveCycleView:
-    """One negotiation cycle's lazy window onto the collector.
+    """One negotiation cycle's lazy window onto the pool, in every mode.
 
-    Snapshots and machine ads are built on first use and cached for the
-    cycle, shared between the candidate scan and the pin-index lookup so
-    deductions land on one object per node. Restricting candidates to
-    free-slot nodes is decision-identical to the historical full scan
-    because every job Requirements shape includes
+    ``free`` names the offered nodes with a free host slot;
+    ``entry(name)`` is an offered node's source (its startd, or its
+    stored ad in fabric mode) or ``None``; ``build`` turns a source into
+    the cycle's private snapshot. Snapshots and machine ads are built on
+    first use and cached for the cycle, shared between the candidate
+    scan and the pin lookup so deductions land on one object per node,
+    and a cycle that probes nothing builds nothing. Restricting
+    candidates to free-slot nodes is decision-identical to the
+    historical full scan because every job Requirements shape includes
     ``TARGET.FreeSlots >= 1`` (only the per-cycle evaluation *count*
     observed by the profiler shrinks).
     """
 
-    __slots__ = ("_collector", "_snaps", "_ads", "_candidates", "has_index")
+    __slots__ = ("_collector", "_free", "_entry", "_build", "_snaps", "_ads",
+                 "_candidates")
 
-    def __init__(self, collector: Collector, use_index: bool) -> None:
+    def __init__(self, collector: Collector, free: Collection[str],
+                 entry: Callable, build: Callable) -> None:
         self._collector = collector
+        self._free = free
+        self._entry = entry
+        self._build = build
         self._snaps: dict[str, MachineSnapshot] = {}
         self._ads: dict[int, object] = {}
         self._candidates: Optional[list[MachineSnapshot]] = None
-        self.has_index = use_index
 
-    def _snapshot_of(self, startd: Startd) -> MachineSnapshot:
-        snap = self._snaps.get(startd.name)
+    @classmethod
+    def of_ads(
+        cls, collector: Collector, ads: list[MachineSnapshot]
+    ) -> "LiveCycleView":
+        """A view over stored machine ads (a snapshot response), which
+        it never mutates: it copies an ad only when a probe touches it."""
+        by_name = {ad.node: ad for ad in ads}
+        free = [ad.node for ad in ads if ad.free_slots > 0]
+        return cls(collector, free, by_name.get, copy_snapshot)
+
+    def fresh(self) -> "LiveCycleView":
+        """The same pool state with nothing built: the next cycle's view."""
+        return LiveCycleView(
+            self._collector, self._free, self._entry, self._build
+        )
+
+    def _snapshot_of(self, name: str) -> Optional[MachineSnapshot]:
+        snap = self._snaps.get(name)
         if snap is None:
-            snap = startd.snapshot()
-            self._snaps[startd.name] = snap
+            source = self._entry(name)
+            if source is None:
+                return None
+            snap = self._build(source)
+            self._snaps[name] = snap
         return snap
 
     def candidates(self) -> list[MachineSnapshot]:
-        """Snapshots of live free-slot nodes, in registration order."""
+        """Snapshots of offered free-slot nodes, in registration order."""
         if self._candidates is None:
-            collector = self._collector
-            startds = collector._startds
-            names = sorted(
-                collector._free, key=collector._reg_index.__getitem__
-            )
-            self._candidates = [
-                self._snapshot_of(startds[name]) for name in names
-            ]
+            names = sorted(self._free, key=self._collector._reg_index.get)
+            self._candidates = [self._snapshot_of(name) for name in names]
         return self._candidates
 
-    def lookup(self, key: str):
-        """Pin-index lookup: snapshot, ``None`` (miss) or AMBIGUOUS_NAME.
+    def any_free_slot(self) -> bool:
+        """Whether some candidate still has a free host slot — answered
+        from the free set and the snapshots already built, building none."""
+        snaps = self._snaps
+        for name in self._free:
+            snap = snaps.get(name)
+            if snap is None or snap.free_slots > 0:
+                return True
+        return False
 
-        A miss proves no live machine advertises the name; a hit is the
-        only machine that can satisfy ``TARGET.Name == <literal>``. Full
-        nodes resolve too (their snapshot is built on demand): the pin
-        probe then fails on ``FreeSlots >= 1`` exactly as the historical
-        index over all live snapshots did.
+    def lookup(self, key: str):
+        """Pin lookup: snapshot, ``None`` (miss) or AMBIGUOUS_NAME.
+
+        Resolves through the collector's static name map. A miss proves
+        no offered machine advertises the name; a hit is the only
+        machine that can satisfy ``TARGET.Name == <literal>``. Full
+        nodes resolve too: the pin probe then fails on ``FreeSlots >= 1``.
         """
         entry = self._collector._name_map.get(key)
         if entry is None or entry is AMBIGUOUS_NAME:
             return entry
-        if not self._collector.is_alive(entry.name):
-            return None
-        return self._snapshot_of(entry)
+        return self._snapshot_of(entry.name)
 
     def ad(self, snapshot: MachineSnapshot):
         """The (cached) live machine-ad view for ``snapshot``."""

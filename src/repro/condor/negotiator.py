@@ -1,10 +1,11 @@
 """The negotiator: periodic FIFO matchmaking between jobs and machines.
 
-Every ``cycle_interval`` simulated seconds the negotiator pulls fresh
-machine snapshots from the collector, walks the pending queue in FIFO
-order (§II-D), and matches each job against the nodes using symmetric
-ClassAd matchmaking. Resources are deducted from the cycle's snapshots as
-matches are made, so one cycle can fill many slots consistently.
+Every ``cycle_interval`` simulated seconds the negotiator takes a lazy
+view of the pool (:class:`~repro.condor.collector.LiveCycleView`), walks
+the pending queue in FIFO order (§II-D), and matches each job against
+the nodes using symmetric ClassAd matchmaking. Resources are deducted
+from the snapshots the view builds as matches are made, so one cycle can
+fill many slots consistently.
 
 Placement *within* the matched set is a policy object — this is where the
 paper's three configurations differ at the cluster level:
@@ -31,9 +32,9 @@ from ..obs import metrics as _metrics
 from ..obs import trace as _trace
 from ..sim import Environment
 from ..sim import profile as _profile
-from .ads import MachineSnapshot, copy_snapshot, machine_ad
+from .ads import MachineSnapshot
 from .classad import Literal, symmetric_match
-from .collector import AMBIGUOUS_NAME, Collector, build_name_index
+from .collector import AMBIGUOUS_NAME, Collector, LiveCycleView
 from .compile import requirements_plan
 from .schedd import JobRecord, Schedd, job_tid
 
@@ -61,41 +62,8 @@ class CycleStats:
     evals: int = 0
     #: Examined jobs routed through the collector's name index (O(1)).
     pin_routed: int = 0
-    #: Examined jobs that scanned every machine snapshot.
+    #: Examined jobs that scanned every candidate machine.
     full_scans: int = 0
-
-
-class SnapshotCycleView:
-    """Cycle view over an eagerly-built snapshot list.
-
-    Used in fabric mode (the negotiator's view is whatever snapshot
-    response last made it through the network) and whenever the
-    collector cannot serve its delta-maintained live view (heartbeat
-    staleness or store mode need the historical full walk). Preserves
-    the historical behaviour exactly: candidates are *all* live
-    snapshots and machine ads are views over them.
-    """
-
-    __slots__ = ("_snapshots", "_index", "_ads", "has_index")
-
-    def __init__(self, snapshots, index) -> None:
-        self._snapshots = snapshots
-        self._index = index
-        self._ads: dict[int, object] = {}
-        self.has_index = index is not None
-
-    def candidates(self):
-        return self._snapshots
-
-    def lookup(self, key: str):
-        return self._index.get(key)
-
-    def ad(self, snapshot):
-        view = self._ads.get(id(snapshot))
-        if view is None:
-            view = machine_ad(snapshot)
-            self._ads[id(snapshot)] = view
-        return view
 
 
 class PlacementPolicy:
@@ -106,9 +74,9 @@ class PlacementPolicy:
     #: Whether submit ads require advertised free device memory.
     memory_aware = True
 
-    def exhausted(self, snapshots: list[MachineSnapshot]) -> bool:
+    def exhausted(self, view: LiveCycleView) -> bool:
         """True when no pending job could possibly be placed this cycle."""
-        return all(s.free_slots <= 0 for s in snapshots)
+        return not view.any_free_slot()
 
     def place(
         self,
@@ -154,10 +122,10 @@ class ExclusivePlacement(PlacementPolicy):
 
     sharing = False
 
-    def exhausted(self, snapshots: list[MachineSnapshot]) -> bool:
+    def exhausted(self, view: LiveCycleView) -> bool:
         return not any(
             s.free_slots > 0 and s.first_free_device() is not None
-            for s in snapshots
+            for s in view.candidates()
         )
 
     def place(self, record, candidates):
@@ -297,7 +265,6 @@ class Negotiator:
         cycle_interval: float = 15.0,
         reschedule_on_completion: bool = False,
         reschedule_delay: float = 1.0,
-        use_pin_index: bool = True,
         fabric=None,
     ) -> None:
         """``reschedule_on_completion`` models ``condor_reschedule``: a
@@ -308,10 +275,10 @@ class Negotiator:
 
         With a ``fabric`` (:class:`repro.net.fabric.MessageFabric`), the
         negotiator stops touching the collector and startds directly: it
-        negotiates over the last snapshot-response it received, sends
-        match notifications to the schedd, and requests a fresh snapshot
-        each cycle — its view of the pool is as stale as the network
-        makes it."""
+        negotiates over the last snapshot-response it received (in the
+        same lazy cycle view as direct mode), sends match notifications
+        to the schedd, and requests a fresh snapshot each cycle — its
+        view of the pool is as stale as the network makes it."""
         if cycle_interval <= 0:
             raise ValueError("cycle_interval must be positive")
         if reschedule_delay < 0:
@@ -327,16 +294,10 @@ class Negotiator:
         #: Fabric mode: jobs whose match notification is not yet
         #: acknowledged (job_id -> token); skipped when re-offering.
         self._inflight: dict[str, int] = {}
-        #: Fabric mode: snapshots from the latest snapshot-response.
-        self._machine_view: list[MachineSnapshot] = []
+        #: Fabric mode: the latest snapshot-response, as a cycle view.
+        self._response = LiveCycleView.of_ads(collector, [])
         self._next_token = 1
         self._resched_msg_pending = False
-        #: Route jobs whose Requirements pin ``TARGET.Name`` through the
-        #: collector's name index instead of scanning every machine.
-        #: Match decisions are identical either way (the pin literal can
-        #: match at most the indexed machine); the flag exists so the
-        #: benchmark can measure the full-scan baseline.
-        self.use_pin_index = use_pin_index
         self.cycles_run = 0
         self.matches_made = 0
         #: Accounting for the most recent cycle (None before the first).
@@ -390,7 +351,9 @@ class Negotiator:
         self.env.process(self._reschedule(), name="negotiator-reschedule")
 
     def _on_snapshot_response(self, msg) -> None:
-        self._machine_view = msg.payload["snapshots"]
+        self._response = LiveCycleView.of_ads(
+            self.collector, msg.payload["snapshots"]
+        )
 
     def _request_snapshots(self) -> None:
         from .claims import MSG_SNAPSHOT_REQUEST
@@ -422,7 +385,7 @@ class Negotiator:
         match's claim onto a live one.
         """
         self.down = True
-        self._machine_view = []
+        self._response = LiveCycleView.of_ads(self.collector, [])
         self._inflight.clear()
         if self._fabric is not None:
             self._fabric.set_down(NET_NEGOTIATOR)
@@ -430,8 +393,8 @@ class Negotiator:
     def restore(self) -> None:
         """Restart cold: reopen the endpoint and ask for a fresh view.
 
-        The periodic loop never stopped ticking; the first cycle after
-        the snapshot response lands rebuilds the indexed view.
+        The periodic loop never stopped ticking; until the snapshot
+        response lands, cycles negotiate over an empty view.
         """
         self.down = False
         if self._fabric is not None:
@@ -451,34 +414,22 @@ class Negotiator:
         prof = _profile.ACTIVE
         wall_start = perf_counter() if registry is not None else 0.0
         stats = CycleStats()
+        # One lazy view in every mode — a cycle's cost scales with the
+        # machines it actually probes, not the cluster size.
         if self._fabric is not None:
-            # Negotiate over the last snapshot-response that made it
-            # through the network (copied: deduction must not corrupt
-            # the stored view), and ask for a fresh one for next cycle.
-            snapshots = [copy_snapshot(s) for s in self._machine_view]
-            index = build_name_index(snapshots) if self.use_pin_index else None
-            view = SnapshotCycleView(snapshots, index)
+            # The last snapshot-response that made it through the
+            # network (copied on touch: deduction must not corrupt the
+            # stored ads); ask for a fresh one for next cycle.
+            view = self._response.fresh()
             self._request_snapshots()
         else:
-            # Fast path: the collector's delta-maintained live view,
-            # lazy per machine — a cycle's cost scales with the machines
-            # it actually probes, not the cluster size.
-            view = self.collector.live_view(self.use_pin_index)
-            if view is None:
-                if self.use_pin_index:
-                    snapshots, index = self.collector.indexed_snapshots(
-                        self.env.now
-                    )
-                else:
-                    snapshots = self.collector.snapshots(self.env.now)
-                    index = None
-                view = SnapshotCycleView(snapshots, index)
+            view = self.collector.live_view(self.env.now)
         # Machine ads are live views over the snapshots: a deduction is
         # visible to the next probe without rebuilding anything.
         # Resources only change on deduction, so exhaustion is
         # recomputed after each match rather than per pending job — and
-        # computed lazily, so a cycle with nothing pending builds no
-        # snapshots at all (the O(1) idle-pool floor).
+        # answered from the view's free set, so a cycle that probes no
+        # machine builds no snapshots at all (the O(1) idle-pool floor).
         exhausted: Optional[bool] = None
         # The queue walk is the cycle's O(jobs) floor — with 10k+ jobs
         # parked by the external scheduler, per-record work must stay at
@@ -491,7 +442,7 @@ class Negotiator:
         pending = self.schedd.pending() if self.schedd.idle_jobs else ()
         for record in pending:
             if exhausted is None:
-                exhausted = policy.exhausted(view.candidates())
+                exhausted = policy.exhausted(view)
             if exhausted:
                 break
             if inflight and record.job_id in inflight:
@@ -530,7 +481,7 @@ class Negotiator:
                 exclusive,
                 record.profile.declared_memory_mb,
             )
-            exhausted = policy.exhausted(view.candidates())
+            exhausted = policy.exhausted(view)
             if self._fabric is None:
                 startd = self.collector.startd(snapshot.node)
                 if not startd.alive:
@@ -635,10 +586,10 @@ class Negotiator:
         )
 
     def _match(self, record: JobRecord, view, plan, stats):
-        if view.has_index and plan.pin_name is not None:
+        if plan.pin_name is not None:
             pinned = view.lookup(plan.pin_name)
             if pinned is not AMBIGUOUS_NAME:
-                # The index covers every live machine, so a miss proves
+                # The index covers every offered machine, so a miss proves
                 # no machine advertises the pinned name, and a hit is the
                 # only machine that can satisfy ``TARGET.Name == ...`` —
                 # one matchmaking probe replaces the full scan.

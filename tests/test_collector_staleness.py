@@ -3,17 +3,29 @@
 Satellite coverage for the staleness path: a node whose heartbeat goes
 quiet is dropped from negotiation snapshots, the transition (not every
 query) emits a trace instant and bumps a counter, and a fresh heartbeat
-re-admits the node with the mirror-image emission.
+re-admits the node with the mirror-image emission. Store-mode tests
+check that negotiation deducts only from the cycle view's copies: the
+stored ads and a snapshot response's payload are never mutated.
 """
+
+import random
 
 import pytest
 
 from repro.cluster.node import ComputeNode
-from repro.condor import Collector, Schedd, Startd
+from repro.condor import (
+    Collector,
+    CondorPool,
+    RandomPlacement,
+    Schedd,
+    Startd,
+)
 from repro.condor.ads import copy_snapshot
+from repro.net.profile import NetProfile
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.sim import Environment
+from repro.workloads import HostPhase, JobProfile, OffloadPhase
 
 
 @pytest.fixture
@@ -26,6 +38,17 @@ def _no_leaked_active():
     yield
     obs_trace.deactivate()
     obs_metrics.deactivate()
+
+
+def make_profile(job_id):
+    return JobProfile(
+        job_id=job_id,
+        app="t",
+        phases=(HostPhase(1), OffloadPhase(work=1, threads=60,
+                                           memory_mb=1000.0)),
+        declared_memory_mb=1000.0,
+        declared_threads=60,
+    )
 
 
 def _collector(env, nodes=2, timeout=20.0):
@@ -136,19 +159,50 @@ class TestStoreMode:
         assert len(collector.snapshots(now=26.0)) == 0  # stale at 26 > 5+20
         assert collector.stale_drops == 1
 
-    def test_store_snapshots_are_isolated_copies(self, env):
+    def test_store_view_copies_stored_ads_on_touch(self, env):
         collector = _collector(env, nodes=1)
         collector.enable_store()
         stored = collector.startd("n0").snapshot()
         collector.store_update(stored, now=0.0)
-        first = collector.snapshots(now=1.0)[0]
-        second = collector.snapshots(now=2.0)[0]
+        # The collector serves its stored ads as they are (a snapshot
+        # response carries references); the cycle view copies on touch.
+        assert collector.snapshots(now=1.0)[0] is stored
+        first = collector.live_view(now=1.0).candidates()[0]
+        second = collector.live_view(now=2.0).candidates()[0]
         assert first is not stored and second is not first
         # Negotiation-time deduction mutates the served copy; the stored
         # update must be untouched for the next cycle.
         first.devices[0].free_declared_mb = -1234.0
-        served = collector.snapshots(now=3.0)[0]
+        served = collector.live_view(now=3.0).candidates()[0]
         assert served.devices[0].free_declared_mb != -1234.0
+        assert stored.devices[0].free_declared_mb != -1234.0
+
+    def test_fabric_cycle_leaves_stored_ads_and_response_untouched(self):
+        env = Environment()
+        nodes = [ComputeNode(env, f"n{i}", mode="cosmic") for i in range(3)]
+        pool = CondorPool(env, nodes, RandomPlacement(random.Random(0)),
+                          slots_per_node=4, net=NetProfile())
+        negotiator = pool.negotiator
+        responses = []
+        on_response = negotiator._on_snapshot_response
+
+        def capture(msg):
+            responses.append(msg.payload["snapshots"])
+            on_response(msg)
+
+        negotiator._on_snapshot_response = capture
+        pool.start()
+        env.run(until=1.0)  # the first snapshot response lands
+        assert responses and len(responses[-1]) == 3
+        payload = responses[-1]
+        payload_before = [copy_snapshot(s) for s in payload]
+        stored_before = [
+            copy_snapshot(s) for s in pool.collector.snapshots(env.now)
+        ]
+        pool.submit([make_profile(f"j{i}") for i in range(6)])
+        assert negotiator.negotiate_once() == 6  # deducts on every match
+        assert payload == payload_before
+        assert pool.collector.snapshots(env.now) == stored_before
 
     def test_copy_snapshot_helper_deep_copies_devices(self, env):
         snapshot = _collector(env, nodes=1).startd("n0").snapshot()

@@ -7,6 +7,7 @@ import pytest
 from repro.cluster import ComputeNode
 from repro.condor import (
     Collector,
+    CondorPool,
     DeviceSnapshot,
     ExclusivePlacement,
     MachineSnapshot,
@@ -20,7 +21,8 @@ from repro.condor import (
     pin_requirements,
     symmetric_match,
 )
-from repro.condor.collector import AMBIGUOUS_NAME
+from repro.condor.collector import AMBIGUOUS_NAME, LiveCycleView
+from repro.net.profile import NetProfile
 from repro.sim import Environment
 from repro.workloads import HostPhase, JobProfile, OffloadPhase
 
@@ -50,6 +52,16 @@ def snapshot(node="n0", free_slots=4, free_mb=8192.0, resident=0,
             )
         ],
     )
+
+
+class _ListView:
+    """The slice of the cycle view ExclusivePlacement reads."""
+
+    def __init__(self, snapshots):
+        self._snapshots = snapshots
+
+    def candidates(self):
+        return self._snapshots
 
 
 class _FakeRecord:
@@ -171,9 +183,9 @@ class TestExclusivePlacement:
 
     def test_exhausted(self):
         policy = ExclusivePlacement()
-        assert policy.exhausted([snapshot(claimed=True)])
-        assert policy.exhausted([snapshot(free_slots=0)])
-        assert not policy.exhausted([snapshot()])
+        assert policy.exhausted(_ListView([snapshot(claimed=True)]))
+        assert policy.exhausted(_ListView([snapshot(free_slots=0)]))
+        assert not policy.exhausted(_ListView([snapshot()]))
 
     def test_deduct_marks_claim(self):
         policy = ExclusivePlacement()
@@ -221,7 +233,7 @@ class TestRandomPlacement:
         assert snap.free_slots == 3
 
 
-def _pool(env, policy, nodes=3, slots=4, use_pin_index=True):
+def _pool(env, policy, nodes=3, slots=4):
     schedd = Schedd(env)
     collector = Collector()
     for i in range(nodes):
@@ -229,8 +241,7 @@ def _pool(env, policy, nodes=3, slots=4, use_pin_index=True):
             Startd(env, schedd, ComputeNode(env, f"n{i}", mode="cosmic"),
                    slots=slots)
         )
-    negotiator = Negotiator(env, schedd, collector, policy,
-                            use_pin_index=use_pin_index)
+    negotiator = Negotiator(env, schedd, collector, policy)
     return schedd, collector, negotiator
 
 
@@ -251,21 +262,77 @@ class TestNegotiatorRouting:
         assert [schedd.get(f"j{i}").matched_node for i in range(4)] \
             == ["n0", "n1", "n2", "n0"]
 
-    def test_index_off_gives_identical_matches(self):
-        results = []
-        for use_index in (True, False):
-            env = Environment()
-            schedd, _, negotiator = _pool(env, PinnedPlacement(),
-                                          use_pin_index=use_index)
-            for i in range(5):
-                schedd.submit(make_profile(f"j{i}"))
-                schedd.qedit(f"j{i}", "Requirements",
-                             pin_requirements(f"n{i % 3}"))
-            negotiator.negotiate_once()
-            results.append([schedd.get(f"j{i}").matched_node
-                            for i in range(5)])
-        assert results[0] == results[1]
-        assert results[0] == ["n0", "n1", "n2", "n0", "n1"]
+    def test_index_routing_matches_a_reference_full_scan(self):
+        env = Environment()
+        schedd, collector, negotiator = _pool(env, PinnedPlacement(),
+                                              slots=2)
+        pins = ["n0", "n0", "n0", "n1", "n2"]
+        for i, node in enumerate(pins):
+            schedd.submit(make_profile(f"j{i}"))
+            schedd.qedit(f"j{i}", "Requirements", pin_requirements(node))
+        # Reference: FIFO symmetric matchmaking against every machine,
+        # deducting as it goes (slots=2, so the third pin to n0 finds it
+        # full).
+        policy = PinnedPlacement()
+        snapshots = collector.snapshots()
+        ads = [machine_ad(s) for s in snapshots]
+        expected = []
+        for i in range(5):
+            record = schedd.get(f"j{i}")
+            matched = [s for s, ad in zip(snapshots, ads)
+                       if symmetric_match(record.ad, ad)]
+            placement = policy.place(record, matched)
+            if placement is None:
+                expected.append(None)
+                continue
+            snap, device, exclusive = placement
+            policy.deduct(snap, device, exclusive,
+                          record.profile.declared_memory_mb)
+            expected.append(snap.node)
+        negotiator.negotiate_once()
+        stats = negotiator.last_cycle
+        assert stats.pin_routed == 5
+        assert stats.full_scans == 0
+        assert [schedd.get(f"j{i}").matched_node for i in range(5)] \
+            == expected == ["n0", "n0", None, "n1", "n2"]
+
+    @pytest.mark.parametrize("mode", ["direct", "heartbeat", "fabric"])
+    def test_cycle_that_probes_nothing_builds_nothing(self, mode, monkeypatch):
+        env = Environment()
+        nodes = [ComputeNode(env, f"n{i}", mode="cosmic") for i in range(4)]
+        pool = CondorPool(
+            env, nodes, PinnedPlacement(), slots_per_node=4,
+            heartbeat_timeout=90.0 if mode == "heartbeat" else None,
+            net=NetProfile() if mode == "fabric" else None,
+        )
+        for startd in pool.startds:
+            pool.collector.record_heartbeat(startd.name, 0.0)
+        pool.start()
+        env.run(until=1.0)  # fabric: the first snapshot response lands
+        pool.submit([make_profile("parked")])
+        pool.schedd.qedit("parked", "Requirements", "false")
+        touched = []
+        snapshot_of = LiveCycleView._snapshot_of
+        monkeypatch.setattr(
+            LiveCycleView, "_snapshot_of",
+            lambda view, name: touched.append(name) or snapshot_of(view, name),
+        )
+        assert pool.negotiator.negotiate_once() == 0
+        assert pool.negotiator.last_cycle.parked == 1
+        assert touched == []
+
+    def test_exhaustion_stops_the_queue_walk(self):
+        env = Environment()
+        schedd, _, negotiator = _pool(env, PinnedPlacement(), nodes=2,
+                                      slots=1)
+        for i in range(4):
+            schedd.submit(make_profile(f"j{i}"))
+            schedd.qedit(f"j{i}", "Requirements",
+                         pin_requirements(f"n{i % 2}"))
+        assert negotiator.negotiate_once() == 2
+        # Both slots went to j0 and j1; the view then reports no free
+        # slot, so j2 and j3 are never examined.
+        assert negotiator.last_cycle.examined == 2
 
     def test_full_scan_counts_every_machine(self):
         env = Environment()
