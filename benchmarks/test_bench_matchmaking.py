@@ -51,7 +51,7 @@ from repro.condor import (
     set_compilation,
 )
 from repro.condor.classad import Literal, symmetric_match
-from repro.condor.schedd import IDLE
+from repro.condor.schedd import IDLE, RUN
 from repro.core import DevicePacker, KnapsackClusterScheduler
 from repro.sim import Environment
 from repro.workloads import JobProfile, OffloadPhase
@@ -245,7 +245,12 @@ def _baseline_cycle(pool: CondorPool):
 
 def _optimized_cycle(pool: CondorPool):
     started: list = []
-    pool.schedd.start_listeners.append(started.append)
+
+    def on_start(tr):
+        if tr.kind == RUN:
+            started.append(tr)
+
+    pool.schedd.subscribe(on_start)
     gc.collect()
     gc.disable()
     try:
@@ -255,7 +260,7 @@ def _optimized_cycle(pool: CondorPool):
     finally:
         gc.enable()
     stats = pool.negotiator.last_cycle
-    return elapsed_ms, stats, [(r.job_id, r.matched_node) for r in started]
+    return elapsed_ms, stats, [(tr.job_id, tr.node) for tr in started]
 
 
 def _measure_cell(configuration: str, queue_depth: int) -> dict:

@@ -29,6 +29,7 @@ import pytest
 
 from repro.cluster import ComputeNode
 from repro.condor import CondorPool, PinnedPlacement
+from repro.condor.schedd import COMPLETE, RUN
 from repro.core import DevicePacker, KnapsackClusterScheduler
 from repro.sim import Environment
 from repro.workloads import JobProfile, OffloadPhase
@@ -98,22 +99,24 @@ def _measure(queue_depth: int) -> dict:
 
     violations: list[str] = []
 
-    def check_start(record):
-        if scheduler.assignment_of(record.job_id) is None:
-            violations.append(record.job_id)
+    def check_start(tr):
+        if tr.kind == RUN and scheduler.assignment_of(tr.job_id) is None:
+            violations.append(tr.job_id)
 
-    pool.schedd.start_listeners.append(check_start)
+    pool.schedd.subscribe(check_start)
 
     target = min(queue_depth, COMPLETIONS_PER_DEPTH)
     done = env.event()
     completions = [0]
 
-    def count_completion(_record):
+    def count_completion(tr):
+        if tr.kind != COMPLETE:
+            return
         completions[0] += 1
         if completions[0] == target and not done.triggered:
             done.succeed()
 
-    pool.schedd.completion_listeners.append(count_completion)
+    pool.schedd.subscribe(count_completion)
 
     t0 = time.perf_counter()
     pool.start()

@@ -38,7 +38,7 @@ from .negotiator import (
     RandomPlacement,
 )
 from .pool import CondorPool
-from .recovery import DaemonSupervisor, JobQueueLog, WalRecord
+from .recovery import DaemonSupervisor, JobQueueLog
 from .schedd import (
     BACKOFF,
     COMPLETED,
@@ -50,6 +50,7 @@ from .schedd import (
     JobRecord,
     RetryPolicy,
     Schedd,
+    Transition,
 )
 from .startd import NodeExecutor, Startd
 from .tools import condor_q, condor_status
@@ -94,7 +95,7 @@ __all__ = [
     "Startd",
     "SubmitError",
     "UNDEFINED",
-    "WalRecord",
+    "Transition",
     "CycleStats",
     "MachineAdView",
     "RequirementsPlan",

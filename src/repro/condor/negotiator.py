@@ -36,7 +36,7 @@ from .ads import MachineSnapshot
 from .classad import Literal, symmetric_match
 from .collector import AMBIGUOUS_NAME, Collector, LiveCycleView
 from .compile import requirements_plan
-from .schedd import JobRecord, Schedd, job_tid
+from .schedd import COMPLETE, JobRecord, Schedd, Transition, job_tid
 
 
 @dataclass
@@ -325,11 +325,13 @@ class Negotiator:
             self._request_snapshots()
         self._proc = self.env.process(self._loop(), name="negotiator")
         if self.reschedule_on_completion:
-            self.schedd.completion_listeners.append(self._on_completion)
+            self.schedd.subscribe(self._on_completion)
 
-    def _on_completion(self, _record) -> None:
+    def _on_completion(self, tr: Transition) -> None:
+        if tr.kind != COMPLETE:
+            return
         if self._fabric is not None:
-            # The listener fires at the schedd; condor_reschedule is a
+            # The subscriber fires at the schedd; condor_reschedule is a
             # message to the negotiator, not a local call.
             if self._resched_msg_pending:
                 return

@@ -107,7 +107,8 @@ class CondorPool:
         )
         self.supervisor: Optional[DaemonSupervisor] = None
         if recovery:
-            self.schedd.wal = JobQueueLog(env, self.schedd)
+            # Attaches itself as ``schedd.wal``, the first subscriber.
+            JobQueueLog(env, self.schedd)
             self.supervisor = DaemonSupervisor(env, self)
 
     def submit(self, profiles: Sequence[JobProfile]) -> None:

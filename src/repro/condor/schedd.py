@@ -7,14 +7,25 @@ uses ("using the utility condor_qedit, we change each job's requirements",
 §IV-D1) — and batched edits only take effect at the *next* negotiation
 cycle, reproducing the dispatch latency the paper blames for MCCK's small
 overhead on unfavourable distributions.
+
+The queue is one state machine. Every change is a :class:`Transition`:
+the public methods validate, build one, and hand it to
+:meth:`Schedd._apply` — the only code that changes a :class:`JobRecord`
+or the queue counters — then publish it to the subscribers in
+registration order. The write-ahead log (:mod:`repro.condor.recovery`)
+subscribes first, the schedd's own trace/metrics/audit observer next,
+then the knapsack scheduler and the negotiator's reschedule hook. Crash
+recovery replays the journaled transitions through the same ``_apply``,
+without publishing them.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 from ..faults.errors import (
     CLAIM_LOST,
@@ -44,6 +55,25 @@ REMOVED = "Removed"
 BACKOFF = "Backoff"
 #: Terminally failed: retries exhausted (or the failure is not retryable).
 FAILED = "Failed"
+
+#: Transition kinds; the write-ahead log journals them under these names.
+SUBMIT = "submit"
+QEDIT = "qedit"
+MATCH = "match"
+UNMATCH = "unmatch"
+RUN = "run"
+COMPLETE = "complete"
+FAIL = "fail"
+REQUEUE = "requeue"
+#: Job-less and never journaled: a crash–recovery replay rebuilt the queue.
+RECOVERED = "recovered"
+#: Found only in a compacted journal, never published: the header that
+#: restarts the queue counters, and one job's whole record.
+CHECKPOINT = "checkpoint"
+SNAPSHOT = "snapshot"
+
+#: Kinds after which the queue-depth gauge is sampled.
+_DEPTH_KINDS = frozenset({SUBMIT, MATCH, UNMATCH, RUN, REQUEUE})
 
 #: Result statuses that mean the *infrastructure* failed the job. Only
 #: these are retryable — kill-by-container statuses ("memory-limit",
@@ -162,6 +192,63 @@ class JobRecord:
     def is_pending(self) -> bool:
         return self.status == IDLE
 
+    def detached(self, completion: Optional[Event] = None) -> "JobRecord":
+        """A copy sharing no mutable state with this one: a checkpoint
+        snapshot, and the record a replay rebuilds from it."""
+        return dataclasses.replace(
+            self,
+            ad=self.ad.copy(),
+            failures=list(self.failures),
+            completion=completion,
+        )
+
+
+@dataclass(slots=True)
+class Transition:
+    """One job-queue state change, as applied, journaled and published.
+
+    Only the payload its ``kind`` needs is set. The payload is plain
+    state — ids, numbers, frozen profiles, run results, detached record
+    copies — never a live queue object, so a journal of transitions
+    replays without anything the crashed daemon left behind. Nothing
+    changes a transition once built: the journal keeps the object
+    itself. (Not ``frozen``: that would quadruple the construction
+    cost on every queue change.)
+    """
+
+    kind: str
+    job_id: Optional[str]
+    time: float
+    #: RUN: where the job runs.
+    node: Optional[str] = None
+    device: Optional[int] = None
+    #: MATCH: the claim token.
+    token: Optional[int] = None
+    #: COMPLETE, FAIL: the run's result.
+    result: Optional[JobRunResult] = None
+    #: FAIL: whether the job backs off and requeues, and when.
+    retry: bool = False
+    requeue_at: Optional[float] = None
+    #: QEDIT: the attribute and its new expression source.
+    attr: Optional[str] = None
+    expression: Optional[str] = None
+    #: SUBMIT: the job, its submit-ad flags (sharing, memory_aware) and
+    #: its queue sequence number.
+    profile: Optional[JobProfile] = None
+    flags: tuple[bool, bool] = (True, True)
+    seq: int = 0
+    #: SNAPSHOT: the job's detached :class:`JobRecord`. CHECKPOINT: the
+    #: schedd's ``(requeues, terminal_failures)``.
+    state: Any = None
+
+
+def _settle(record: JobRecord) -> None:
+    # succeed (not fail) even for a failure: the result carries the
+    # status, and an un-waited failed event would crash the simulation.
+    # A replayed record may carry an event that already fired.
+    if not record.completion.triggered:
+        record.completion.succeed(record.result)
+
 
 class Schedd:
     """Job queue and submission endpoint."""
@@ -172,32 +259,18 @@ class Schedd:
         self.env = env
         self.retry_policy = retry_policy or RetryPolicy()
         self._records: dict[str, JobRecord] = {}
+        #: Idle jobs by id, kept by ``_apply``: what ``pending()`` sorts.
+        self._idle_index: dict[str, JobRecord] = {}
         self._seq = 0
-        #: Callbacks invoked with the JobRecord whenever a job completes.
-        self.completion_listeners: list[Callable[[JobRecord], None]] = []
-        #: Callbacks invoked with the JobRecord right after submission —
-        #: the hook an external scheduler uses to park new arrivals before
-        #: the vanilla negotiator can dispatch them.
-        self.submit_listeners: list[Callable[[JobRecord], None]] = []
-        #: Callbacks invoked with the JobRecord when a job starts running.
-        self.start_listeners: list[Callable[[JobRecord], None]] = []
-        #: Callbacks invoked with ``(record, result, requeued)`` when a
-        #: run dies to an infrastructure failure.
-        self.failure_listeners: list[
-            Callable[[JobRecord, JobRunResult, bool], None]
-        ] = []
-        #: Callbacks invoked with the JobRecord when a failed job
-        #: re-enters the idle queue after its backoff.
-        self.requeue_listeners: list[Callable[[JobRecord], None]] = []
-        #: Callbacks invoked (no arguments) after a crash–recovery replay
-        #: has rebuilt the queue — external schedulers resync their view
-        #: of the fresh records here.
-        self.recovery_listeners: list[Callable[[], None]] = []
+        #: Called with every published transition, in this order.
+        self._subscribers: tuple[Callable[[Transition], None], ...] = (
+            self._observe,
+        )
         #: Write-ahead job-queue log (:class:`repro.condor.recovery
-        #: .JobQueueLog`); ``None`` (the default) disables journaling and
+        #: .JobQueueLog`), which attaches itself; ``None`` (the default)
         #: keeps every code path byte-identical to a WAL-free schedd.
         self.wal = None
-        #: True while the daemon is crashed: timers and listeners that
+        #: True while the daemon is crashed: timers and subscribers that
         #: fire during the outage must not touch the queue.
         self.down = False
         #: Completed crash–recovery cycles.
@@ -208,19 +281,29 @@ class Schedd:
         self.terminal_failures = 0
         #: Event that triggers once every submitted job has left the queue.
         self._all_done: Optional[Event] = None
-        # Incremental count of jobs in a non-terminal state. Previously
-        # every completion re-scanned the whole record table (O(jobs) per
-        # completion, O(jobs^2) per run); transitions keep it exact.
+        # Jobs in a non-terminal state, so a completion never rescans
+        # the record table.
         self._unfinished = 0
-        # Incremental idle count, kept in lockstep with status changes so
-        # the queue-depth gauge never pays a full-queue scan.
-        self._idle = 0
-        # Records in FIFO order. ``fifo_key`` is fixed at submission, so
-        # the list only needs re-sorting when a submission arrives out of
-        # key order (a backdated submit_time); the per-cycle ``pending()``
-        # walk then filters without sorting O(jobs) records every cycle.
-        self._fifo: list[JobRecord] = []
-        self._fifo_dirty = False
+
+    def subscribe(
+        self, fn: Callable[[Transition], None], first: bool = False
+    ) -> None:
+        """Call ``fn`` with every transition, after it has been applied.
+
+        Subscribers run in registration order. ``first`` puts ``fn``
+        ahead of all others — the write-ahead log's place, so that a
+        subscriber's follow-up transition (a parking qedit on
+        submission) journals after the transition that caused it.
+        """
+        if first:
+            self._subscribers = (fn, *self._subscribers)
+        else:
+            self._subscribers = (*self._subscribers, fn)
+
+    def _emit(self, tr: Transition) -> None:
+        self._apply(tr)
+        for subscriber in self._subscribers:
+            subscriber(tr)
 
     # -- submission -------------------------------------------------------
 
@@ -233,56 +316,17 @@ class Schedd:
         """Queue a job, building its submit ad from the profile."""
         if profile.job_id in self._records:
             raise ValueError(f"duplicate job id {profile.job_id!r}")
-        self._seq += 1
-        record = JobRecord(
-            job_id=profile.job_id,
-            ad=job_ad(profile, sharing=sharing, memory_aware=memory_aware),
-            profile=profile,
-            seq=self._seq,
-            completion=self.env.event(),
+        self._emit(
+            Transition(
+                SUBMIT,
+                profile.job_id,
+                self.env.now,
+                profile=profile,
+                flags=(sharing, memory_aware),
+                seq=self._seq + 1,
+            )
         )
-        record.base_requirements = record.ad.get_expr("Requirements")
-        record.fifo_key = (profile.submit_time, record.seq)
-        self._records[profile.job_id] = record
-        if self._fifo and record.fifo_key < self._fifo[-1].fifo_key:
-            self._fifo_dirty = True
-        self._fifo.append(record)
-        self._unfinished += 1
-        self._idle += 1
-        if self.wal is not None:
-            self.wal.log_submit(record, sharing, memory_aware)
-        tracer = _trace.ACTIVE
-        if tracer is not None:
-            tid = job_tid(record)
-            tracer.set_thread_name(tid, f"job {record.job_id}")
-            root = tracer.begin_keyed(
-                ("job", record.job_id),
-                "job",
-                "schedd",
-                self.env.now,
-                tid=tid,
-                job=record.job_id,
-                declared_mb=profile.declared_memory_mb,
-                declared_threads=profile.declared_threads,
-            )
-            tracer.begin_keyed(
-                ("queued", record.job_id),
-                "queued",
-                "schedd",
-                self.env.now,
-                tid=tid,
-                parent=root,
-            )
-        registry = _metrics.ACTIVE
-        if registry is not None:
-            registry.counter("schedd.jobs_submitted").inc()
-            registry.gauge("schedd.queue_depth").record(self.env.now, self._idle)
-        auditor = _audit.ACTIVE
-        if auditor is not None:
-            auditor.job_submitted(record.job_id)
-        for listener in list(self.submit_listeners):
-            listener(record)
-        return record
+        return self._records[profile.job_id]
 
     def submit_many(
         self,
@@ -298,19 +342,13 @@ class Schedd:
     def get(self, job_id: str) -> JobRecord:
         return self._records[job_id]
 
-    def _fifo_records(self) -> list[JobRecord]:
-        if self._fifo_dirty:
-            self._fifo.sort(key=_FIFO_KEY)
-            self._fifo_dirty = False
-        return self._fifo
-
     def all_records(self) -> list[JobRecord]:
-        """Every job ever submitted, in submission order."""
-        return list(self._fifo_records())
+        """Every job ever submitted, in FIFO order."""
+        return sorted(self._records.values(), key=_FIFO_KEY)
 
     def pending(self) -> list[JobRecord]:
         """Idle jobs in FIFO order (the negotiator's examination order)."""
-        return [r for r in self._fifo_records() if r.status == IDLE]
+        return sorted(self._idle_index.values(), key=_FIFO_KEY)
 
     def running(self) -> list[JobRecord]:
         return [r for r in self._records.values() if r.status == RUNNING]
@@ -332,12 +370,9 @@ class Schedd:
 
     @property
     def idle_jobs(self) -> int:
-        """Jobs currently idle (the size of :meth:`pending`'s result).
-
-        Maintained incrementally so an idle-pool negotiation cycle can
-        skip the O(queue) FIFO walk entirely.
-        """
-        return self._idle
+        """Jobs currently idle (the size of :meth:`pending`'s result),
+        so an idle-pool negotiation cycle can skip the listing."""
+        return len(self._idle_index)
 
     # -- qedit -------------------------------------------------------------
 
@@ -355,9 +390,11 @@ class Schedd:
         record = self._records[job_id]
         if record.status != IDLE:
             raise ValueError(f"cannot qedit job {job_id!r} in state {record.status}")
-        record.ad.set_expr(attr, expression)
-        if self.wal is not None:
-            self.wal.log_qedit(job_id, attr, expression)
+        self._emit(
+            Transition(
+                QEDIT, job_id, self.env.now, attr=attr, expression=expression
+            )
+        )
 
     def qedit_batch(self, edits: list[tuple[str, str, str]]) -> None:
         """Apply many edits at once (the paper batches for overhead)."""
@@ -376,106 +413,28 @@ class Schedd:
         record = self._records[job_id]
         if record.status != IDLE:
             raise ValueError(f"job {job_id!r} is {record.status}, not idle")
-        record.status = MATCHED
-        record.claim_token = token
-        record.matched_at = self.env.now
-        record.ad["JobStatus"] = MATCHED
-        self._idle -= 1
-        if self.wal is not None:
-            self.wal.log_match(job_id, token)
-        registry = _metrics.ACTIVE
-        if registry is not None:
-            registry.gauge("schedd.queue_depth").record(self.env.now, self._idle)
+        self._emit(Transition(MATCH, job_id, self.env.now, token=token))
 
     def unmatch(self, job_id: str) -> None:
         """MATCHED → IDLE: the claim never activated; re-offer the job."""
         record = self._records[job_id]
         if record.status != MATCHED:
             raise ValueError(f"job {job_id!r} is {record.status}, not matched")
-        record.status = IDLE
-        record.claim_token = None
-        record.matched_at = None
-        record.ad["JobStatus"] = IDLE
-        self._idle += 1
-        if self.wal is not None:
-            self.wal.log_unmatch(job_id)
-        registry = _metrics.ACTIVE
-        if registry is not None:
-            registry.gauge("schedd.queue_depth").record(self.env.now, self._idle)
+        self._emit(Transition(UNMATCH, job_id, self.env.now))
 
     def mark_running(self, job_id: str, node: str, device: Optional[int]) -> None:
         record = self._records[job_id]
         if record.status not in (IDLE, MATCHED):
             raise ValueError(f"job {job_id!r} is {record.status}, not idle")
-        if record.status == MATCHED:
-            # Fabric mode: the job already left the idle count at
-            # mark_matched; don't decrement twice below.
-            self._idle += 1
-        record.status = RUNNING
-        record.matched_node = node
-        record.matched_device = device
-        record.matched_at = None
-        record.ad["JobStatus"] = RUNNING
-        self._idle -= 1
-        if self.wal is not None:
-            self.wal.log_run(job_id, node, device)
-        tracer = _trace.ACTIVE
-        if tracer is not None:
-            span = tracer.end_keyed(
-                ("queued", job_id), self.env.now, node=node, device=device
-            )
-            registry = _metrics.ACTIVE
-            if registry is not None and span is not None:
-                registry.histogram("job.queue_wait_s").observe(
-                    span.end - span.start
-                )
-        registry = _metrics.ACTIVE
-        if registry is not None:
-            registry.gauge("schedd.queue_depth").record(self.env.now, self._idle)
-        for listener in list(self.start_listeners):
-            listener(record)
+        self._emit(
+            Transition(RUN, job_id, self.env.now, node=node, device=device)
+        )
 
     def mark_completed(self, job_id: str, result: JobRunResult) -> None:
         record = self._records[job_id]
         if record.status != RUNNING:
             raise ValueError(f"job {job_id!r} is {record.status}, not running")
-        record.status = COMPLETED
-        record.result = result
-        record.ad["JobStatus"] = COMPLETED
-        record.claim_token = None
-        self._unfinished -= 1
-        if self.wal is not None:
-            self.wal.log_complete(job_id, result)
-        auditor = _audit.ACTIVE
-        if auditor is not None:
-            auditor.job_terminal(job_id, result.status, self.env.now)
-        tracer = _trace.ACTIVE
-        if tracer is not None:
-            tracer.instant(
-                "completed",
-                "schedd",
-                self.env.now,
-                tid=job_tid(record),
-                status=result.status,
-            )
-            tracer.end_keyed(
-                ("job", job_id),
-                self.env.now,
-                status=result.status,
-                offloads=result.offloads_run,
-                attempts=record.attempts,
-            )
-        registry = _metrics.ACTIVE
-        if registry is not None:
-            registry.counter("schedd.jobs_completed").inc()
-            if result.status != "completed":
-                registry.counter("schedd.jobs_killed").inc()
-            if record.attempts > 0:
-                registry.counter("schedd.jobs_retried_completed").inc()
-        assert record.completion is not None
-        record.completion.succeed(result)
-        for listener in list(self.completion_listeners):
-            listener(record)
+        self._emit(Transition(COMPLETE, job_id, self.env.now, result=result))
         self._check_all_done()
 
     def mark_failed(self, job_id: str, result: JobRunResult) -> None:
@@ -491,75 +450,35 @@ class Schedd:
         record = self._records[job_id]
         if record.status != RUNNING:
             raise ValueError(f"job {job_id!r} is {record.status}, not running")
-        record.attempts += 1
-        record.failures.append(result)
-        record.matched_node = None
-        record.matched_device = None
-        record.claim_token = None
-        retry = self.retry_policy.should_retry(result.status, record.attempts)
-        tracer = _trace.ACTIVE
-        if tracer is not None:
-            tracer.instant(
-                "run-failed",
-                "schedd",
-                self.env.now,
-                tid=job_tid(record),
-                status=result.status,
-                attempt=record.attempts,
-                retry=retry,
-            )
-        registry = _metrics.ACTIVE
-        if registry is not None:
-            registry.counter("schedd.runs_failed").inc()
+        attempt = record.attempts + 1
+        retry = self.retry_policy.should_retry(result.status, attempt)
+        requeue_at = None
         if retry:
-            record.status = BACKOFF
-            record.ad["JobStatus"] = BACKOFF
-            delay = self.retry_policy.backoff(record.attempts, key=job_id)
-            record.requeue_at = self.env.now + delay
-            if self.wal is not None:
-                self.wal.log_fail(job_id, result, True, record.requeue_at)
-            if tracer is not None:
-                tracer.begin_keyed(
-                    ("backoff", job_id),
-                    "backoff",
-                    "schedd",
-                    self.env.now,
-                    tid=job_tid(record),
-                    parent=tracer.get(("job", job_id)),
-                    attempt=record.attempts,
-                )
+            delay = self.retry_policy.backoff(attempt, key=job_id)
+            requeue_at = self.env.now + delay
+            # Spawned before any subscriber schedules work of its own.
             self.env.process(
                 self._requeue_after(record, delay), name=f"requeue:{job_id}"
             )
-        else:
-            record.status = FAILED
-            record.result = result
-            record.ad["JobStatus"] = FAILED
-            self._unfinished -= 1
-            self.terminal_failures += 1
-            if self.wal is not None:
-                self.wal.log_fail(job_id, result, False, None)
-            auditor = _audit.ACTIVE
-            if auditor is not None:
-                auditor.job_terminal(job_id, result.status, self.env.now)
-            if tracer is not None:
-                tracer.end_keyed(
-                    ("job", job_id),
-                    self.env.now,
-                    status=result.status,
-                    attempts=record.attempts,
-                )
-            if registry is not None:
-                registry.counter("schedd.jobs_failed_terminal").inc()
-            assert record.completion is not None
-            # succeed (not fail): the result object carries the failure
-            # status, and an un-waited failed event would crash the
-            # simulation as an unhandled exception.
-            record.completion.succeed(result)
-        for listener in list(self.failure_listeners):
-            listener(record, result, retry)
-        if not retry:
-            self._check_all_done()
+        self._emit(
+            Transition(
+                FAIL,
+                job_id,
+                self.env.now,
+                result=result,
+                retry=retry,
+                requeue_at=requeue_at,
+            )
+        )
+        self._check_all_done()
+
+    def mark_recovered(self) -> None:
+        """Announce that a crash–recovery replay rebuilt the queue.
+
+        Subscribers that cached the pre-crash records (the knapsack
+        scheduler's pending index) resync here. Not journaled.
+        """
+        self._emit(Transition(RECOVERED, None, self.env.now))
 
     def _requeue_after(self, record: JobRecord, delay: float):
         yield self.env.timeout(max(0.0, delay))
@@ -572,36 +491,249 @@ class Schedd:
             # Stale closure: a crash–recovery replay replaced this record
             # object wholesale and rescheduled its own requeue timer.
             return
-        record.status = IDLE
-        record.requeue_at = None
-        record.ad["JobStatus"] = IDLE
-        if record.base_requirements is not None:
-            # Shed the previous attempt's pin/park so the job can match
-            # anywhere again; an attached knapsack scheduler re-parks it
-            # through its requeue listener.
-            record.ad["Requirements"] = record.base_requirements
-        self.requeues += 1
-        self._idle += 1
-        if self.wal is not None:
-            self.wal.log_requeue(record.job_id)
-        tracer = _trace.ACTIVE
-        if tracer is not None:
-            tracer.end_keyed(("backoff", record.job_id), self.env.now)
-            tracer.begin_keyed(
-                ("queued", record.job_id),
-                "queued",
-                "schedd",
-                self.env.now,
-                tid=job_tid(record),
-                parent=tracer.get(("job", record.job_id)),
-                attempt=record.attempts,
+        self._emit(Transition(REQUEUE, record.job_id, self.env.now))
+
+    # -- the state machine ----------------------------------------------------
+
+    def _apply(self, tr: Transition) -> None:
+        """Apply one transition, live or from the journal.
+
+        The only code that changes a :class:`JobRecord` or the queue
+        counters. It validates nothing (the public methods did, before
+        the transition was journaled) and publishes nothing, so a
+        journal replay through it is silent.
+        """
+        kind = tr.kind
+        if kind == SUBMIT or kind == SNAPSHOT:
+            self._admit(tr)
+            return
+        if kind == CHECKPOINT:
+            # The queue restarts here; records are replaced job by job
+            # as their submit or snapshot is applied.
+            self.requeues, self.terminal_failures = tr.state
+            self._idle_index = {}
+            self._unfinished = 0
+            self._seq = 0
+            return
+        if kind == RECOVERED:
+            self.recoveries += 1
+            return
+        job_id = tr.job_id
+        record = self._records[job_id]
+        if kind == QEDIT:
+            record.ad.set_expr(tr.attr, tr.expression)
+            return
+        if kind == MATCH:
+            record.status = MATCHED
+            record.claim_token = tr.token
+            record.matched_at = tr.time
+            del self._idle_index[job_id]
+        elif kind == UNMATCH:
+            record.status = IDLE
+            record.claim_token = None
+            record.matched_at = None
+            self._idle_index[job_id] = record
+        elif kind == RUN:
+            # From IDLE, or from MATCHED under the fabric.
+            self._idle_index.pop(job_id, None)
+            record.status = RUNNING
+            record.matched_node = tr.node
+            record.matched_device = tr.device
+            record.matched_at = None
+        elif kind == COMPLETE:
+            record.status = COMPLETED
+            record.result = tr.result
+            record.claim_token = None
+            self._unfinished -= 1
+            _settle(record)
+        elif kind == FAIL:
+            record.attempts += 1
+            record.failures.append(tr.result)
+            record.matched_node = None
+            record.matched_device = None
+            record.claim_token = None
+            if tr.retry:
+                record.status = BACKOFF
+                record.requeue_at = tr.requeue_at
+            else:
+                record.status = FAILED
+                record.result = tr.result
+                self._unfinished -= 1
+                self.terminal_failures += 1
+                _settle(record)
+        elif kind == REQUEUE:
+            record.status = IDLE
+            record.requeue_at = None
+            if record.base_requirements is not None:
+                # Shed the previous attempt's pin/park so the job can
+                # match anywhere again; an attached knapsack scheduler
+                # re-parks it when it sees the transition.
+                record.ad["Requirements"] = record.base_requirements
+            self.requeues += 1
+            self._idle_index[job_id] = record
+        else:  # pragma: no cover - journal corruption guard
+            raise ValueError(f"unknown transition kind {kind!r}")
+        record.ad["JobStatus"] = record.status
+
+    def _admit(self, tr: Transition) -> None:
+        # A replay replaces the crashed daemon's record; waiters on its
+        # completion event must still resolve.
+        prior = self._records.pop(tr.job_id, None)
+        completion = prior.completion if prior is not None else self.env.event()
+        if tr.kind == SNAPSHOT:
+            record = tr.state.detached(completion)
+        else:
+            profile = tr.profile
+            sharing, memory_aware = tr.flags
+            record = JobRecord(
+                job_id=tr.job_id,
+                ad=job_ad(profile, sharing=sharing, memory_aware=memory_aware),
+                profile=profile,
+                seq=tr.seq,
+                completion=completion,
+                fifo_key=(profile.submit_time, tr.seq),
             )
+            record.base_requirements = record.ad.get_expr("Requirements")
+        self._records[tr.job_id] = record
+        self._seq = max(self._seq, record.seq)
+        if record.status == IDLE:
+            self._idle_index[tr.job_id] = record
+        if record.status in (COMPLETED, FAILED):
+            _settle(record)
+        else:
+            self._unfinished += 1
+
+    # -- observability ------------------------------------------------------
+
+    def _observe(self, tr: Transition) -> None:
+        """The subscriber holding every trace, metrics and audit emission
+        of the job queue."""
+        tracer = _trace.ACTIVE
         registry = _metrics.ACTIVE
-        if registry is not None:
-            registry.counter("schedd.requeues").inc()
-            registry.gauge("schedd.queue_depth").record(self.env.now, self._idle)
-        for listener in list(self.requeue_listeners):
-            listener(record)
+        auditor = _audit.ACTIVE
+        if tracer is None and registry is None and auditor is None:
+            return
+        kind = tr.kind
+        if kind == QEDIT or kind == RECOVERED:
+            return
+        job_id = tr.job_id
+        now = tr.time
+        record = self._records[job_id]
+        if kind == SUBMIT:
+            if tracer is not None:
+                tid = job_tid(record)
+                tracer.set_thread_name(tid, f"job {job_id}")
+                root = tracer.begin_keyed(
+                    ("job", job_id),
+                    "job",
+                    "schedd",
+                    now,
+                    tid=tid,
+                    job=job_id,
+                    declared_mb=record.profile.declared_memory_mb,
+                    declared_threads=record.profile.declared_threads,
+                )
+                tracer.begin_keyed(
+                    ("queued", job_id),
+                    "queued",
+                    "schedd",
+                    now,
+                    tid=tid,
+                    parent=root,
+                )
+            if registry is not None:
+                registry.counter("schedd.jobs_submitted").inc()
+            if auditor is not None:
+                auditor.job_submitted(job_id)
+        elif kind == RUN:
+            if tracer is not None:
+                span = tracer.end_keyed(
+                    ("queued", job_id), now, node=tr.node, device=tr.device
+                )
+                if registry is not None and span is not None:
+                    registry.histogram("job.queue_wait_s").observe(
+                        span.end - span.start
+                    )
+        elif kind == COMPLETE:
+            result = tr.result
+            if auditor is not None:
+                auditor.job_terminal(job_id, result.status, now)
+            if tracer is not None:
+                tracer.instant(
+                    "completed",
+                    "schedd",
+                    now,
+                    tid=job_tid(record),
+                    status=result.status,
+                )
+                tracer.end_keyed(
+                    ("job", job_id),
+                    now,
+                    status=result.status,
+                    offloads=result.offloads_run,
+                    attempts=record.attempts,
+                )
+            if registry is not None:
+                registry.counter("schedd.jobs_completed").inc()
+                if result.status != "completed":
+                    registry.counter("schedd.jobs_killed").inc()
+                if record.attempts > 0:
+                    registry.counter("schedd.jobs_retried_completed").inc()
+        elif kind == FAIL:
+            status = tr.result.status
+            if tracer is not None:
+                tracer.instant(
+                    "run-failed",
+                    "schedd",
+                    now,
+                    tid=job_tid(record),
+                    status=status,
+                    attempt=record.attempts,
+                    retry=tr.retry,
+                )
+            if registry is not None:
+                registry.counter("schedd.runs_failed").inc()
+            if tr.retry:
+                if tracer is not None:
+                    tracer.begin_keyed(
+                        ("backoff", job_id),
+                        "backoff",
+                        "schedd",
+                        now,
+                        tid=job_tid(record),
+                        parent=tracer.get(("job", job_id)),
+                        attempt=record.attempts,
+                    )
+            else:
+                if auditor is not None:
+                    auditor.job_terminal(job_id, status, now)
+                if tracer is not None:
+                    tracer.end_keyed(
+                        ("job", job_id),
+                        now,
+                        status=status,
+                        attempts=record.attempts,
+                    )
+                if registry is not None:
+                    registry.counter("schedd.jobs_failed_terminal").inc()
+        elif kind == REQUEUE:
+            if tracer is not None:
+                tracer.end_keyed(("backoff", job_id), now)
+                tracer.begin_keyed(
+                    ("queued", job_id),
+                    "queued",
+                    "schedd",
+                    now,
+                    tid=job_tid(record),
+                    parent=tracer.get(("job", job_id)),
+                    attempt=record.attempts,
+                )
+            if registry is not None:
+                registry.counter("schedd.requeues").inc()
+        if registry is not None and kind in _DEPTH_KINDS:
+            registry.gauge("schedd.queue_depth").record(now, len(self._idle_index))
+
+    # -- draining -----------------------------------------------------------
 
     def _check_all_done(self) -> None:
         if self._all_done is not None and self.unfinished_jobs == 0:
@@ -623,6 +755,6 @@ class Schedd:
 
     def __repr__(self) -> str:
         return (
-            f"<Schedd jobs={self.total_jobs} idle={len(self.pending())} "
+            f"<Schedd jobs={self.total_jobs} idle={self.idle_jobs} "
             f"running={len(self.running())} completed={len(self.completed())}>"
         )

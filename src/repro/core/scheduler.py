@@ -26,7 +26,17 @@ from typing import Optional
 
 from ..condor.ads import pin_requirements
 from ..condor.pool import CondorPool
-from ..condor.schedd import IDLE, JobRecord, job_tid
+from ..condor.schedd import (
+    COMPLETE,
+    FAIL,
+    IDLE,
+    RECOVERED,
+    REQUEUE,
+    SUBMIT,
+    JobRecord,
+    Transition,
+    job_tid,
+)
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
 from ..sim import profile as _profile
@@ -123,11 +133,7 @@ class KnapsackClusterScheduler:
                 key = (snapshot.node, device.index)
                 self._capacity[key] = device.memory_mb
                 self._committed[key] = 0.0
-        self.schedd.completion_listeners.append(self._on_completion)
-        self.schedd.submit_listeners.append(self._on_submit)
-        self.schedd.failure_listeners.append(self._on_failure)
-        self.schedd.requeue_listeners.append(self._on_requeue)
-        self.schedd.recovery_listeners.append(self._on_recovery)
+        self.schedd.subscribe(self._on_transition)
         for record in self.schedd.pending():
             self._index_add(record)
         self.schedule_pending()
@@ -177,6 +183,19 @@ class KnapsackClusterScheduler:
                     del self._buckets[bucket]
         self._parked.discard(job_id)
         return record
+
+    def _on_transition(self, tr: Transition) -> None:
+        kind = tr.kind
+        if kind == RECOVERED:
+            self._on_recovery()
+        elif kind == COMPLETE:
+            self._on_completion(self.schedd.get(tr.job_id))
+        elif kind == SUBMIT:
+            self._on_submit(self.schedd.get(tr.job_id))
+        elif kind == FAIL:
+            self._on_failure(self.schedd.get(tr.job_id))
+        elif kind == REQUEUE:
+            self._on_requeue(self.schedd.get(tr.job_id))
 
     def _on_submit(self, record: JobRecord) -> None:
         """Index — and immediately park — a post-attach arrival.
@@ -506,7 +525,7 @@ class KnapsackClusterScheduler:
         self._dirty_devices.add(key)
         self._schedule_repack()
 
-    def _on_failure(self, record: JobRecord, _result, _requeued: bool) -> None:
+    def _on_failure(self, record: JobRecord) -> None:
         """Failed run: release the device commitment immediately.
 
         The job itself re-enters the queue through :meth:`_on_requeue`

@@ -14,7 +14,6 @@ from .synthetic import (
     SyntheticSpec,
     draw_levels,
     generate_synthetic_jobs,
-    generate_synthetic_jobs_vectorized,
     level_to_resources,
     resource_histogram,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "dump_jobs",
     "dumps_jobs",
     "generate_synthetic_jobs",
-    "generate_synthetic_jobs_vectorized",
     "generate_table1_job",
     "generate_table1_jobs",
     "job_from_dict",

@@ -106,112 +106,6 @@ def generate_synthetic_jobs(
     return jobs
 
 
-def generate_synthetic_jobs_vectorized(
-    count: int,
-    distribution: str,
-    seed: int = 0,
-    spec: SyntheticSpec = DEFAULT_SPEC,
-) -> list[JobProfile]:
-    """Batched generator for cluster-scale traces (100k+ jobs).
-
-    Produces the same *distributions* as :func:`generate_synthetic_jobs`
-    — levels, lognormal durations, offload splits, thread jitter — but
-    draws every random quantity in one numpy call per kind instead of
-    interleaving per-job draws, so building a 100k-job trace is a few
-    array passes plus profile assembly. Deterministic in ``seed``, but a
-    *different* stream than the scalar generator (the paper-scale
-    experiments keep the original; this one feeds the scale sweeps).
-    """
-    if count <= 0:
-        raise ValueError("count must be positive")
-    from .profiles import HostPhase, OffloadPhase, JobProfile as _JobProfile
-    from .table1 import MEMORY_QUANTUM_MB
-
-    rng = np.random.default_rng(seed)
-    levels = draw_levels(count, distribution, rng)
-
-    mem_lo, mem_hi = spec.memory_range_mb
-    thr_lo, thr_hi = spec.thread_range
-    memories = mem_lo + levels * (mem_hi - mem_lo)
-    threads = (
-        np.round((thr_lo + levels * (thr_hi - thr_lo)) / 4.0) * 4
-    ).astype(int)
-    np.clip(threads, 4, thr_hi, out=threads)
-
-    mu = np.log(spec.mean_duration_s) - spec.duration_sigma**2 / 2
-    nominals = rng.lognormal(mu, spec.duration_sigma, size=count)
-    offload_counts = rng.integers(
-        spec.offload_count[0], spec.offload_count[1] + 1, size=count
-    )
-
-    # Dirichlet(4.0, k) for varying k, batched: one flat gamma array per
-    # kind, normalized per job via reduceat over the job boundaries.
-    work_total = int(offload_counts.sum())
-    work_gammas = rng.gamma(4.0, size=work_total)
-    work_starts = np.zeros(count, dtype=int)
-    np.cumsum(offload_counts[:-1], out=work_starts[1:])
-    work_sums = np.add.reduceat(work_gammas, work_starts)
-
-    gap_counts = offload_counts + 1
-    gap_gammas = rng.gamma(4.0, size=int(gap_counts.sum()))
-    gap_starts = np.zeros(count, dtype=int)
-    np.cumsum(gap_counts[:-1], out=gap_starts[1:])
-    gap_sums = np.add.reduceat(gap_gammas, gap_starts)
-
-    jitter = rng.uniform(0.85, 1.0, size=work_total)
-
-    declared = np.ceil(memories / MEMORY_QUANTUM_MB) * MEMORY_QUANTUM_MB
-    jobs: list[JobProfile] = []
-    for i in range(count):
-        offloads = int(offload_counts[i])
-        memory = float(memories[i])
-        job_threads = int(threads[i])
-        nominal = float(nominals[i])
-        total_offload = nominal * spec.duty_cycle
-        total_host = nominal - total_offload
-        w0 = work_starts[i]
-        work_shares = work_gammas[w0:w0 + offloads] / work_sums[i]
-        g0 = gap_starts[i]
-        gap_shares = gap_gammas[g0:g0 + offloads + 1] / gap_sums[i]
-        host_times = gap_shares * total_host
-
-        phases: list = []
-        leading = float(host_times[0])
-        if leading > 0:
-            phases.append(HostPhase(leading))
-        for k in range(offloads):
-            frac = 0.55 + 0.45 * (k + 1) / offloads
-            burst_memory = memory * frac if k < offloads - 1 else memory
-            if k == offloads - 1:
-                burst_threads = job_threads
-            else:
-                burst_threads = max(
-                    4, int(jitter[w0 + k] * job_threads) // 4 * 4
-                )
-            phases.append(
-                OffloadPhase(
-                    work=float(work_shares[k] * total_offload),
-                    threads=burst_threads,
-                    memory_mb=float(burst_memory),
-                    transfer_mb=float(0.25 * burst_memory),
-                )
-            )
-            gap = float(host_times[k + 1])
-            if gap > 0:
-                phases.append(HostPhase(gap))
-        jobs.append(
-            _JobProfile(
-                job_id=f"syn-{distribution}-{i:04d}",
-                app=f"SYN/{distribution}",
-                phases=tuple(phases),
-                declared_memory_mb=float(declared[i]),
-                declared_threads=job_threads,
-                submit_time=0.0,
-            )
-        )
-    return jobs
-
-
 def resource_histogram(
     jobs: list[JobProfile], bins: int = 10
 ) -> tuple[np.ndarray, np.ndarray]:

@@ -1,6 +1,10 @@
 """Tests for daemon crash–recovery: WAL replay, supervision, re-adoption."""
 
+import dataclasses
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import ClusterConfig, ComputeNode, run_configuration
 from repro.condor import (
@@ -8,9 +12,24 @@ from repro.condor import (
     COMPLETED,
     FAILED,
     IDLE,
+    MATCHED,
+    RUNNING,
     CondorPool,
+    JobQueueLog,
     RandomPlacement,
     RetryPolicy,
+    Schedd,
+)
+from repro.condor.schedd import (
+    COMPLETE,
+    FAIL,
+    MATCH,
+    QEDIT,
+    RECOVERED,
+    REQUEUE,
+    RUN,
+    SUBMIT,
+    UNMATCH,
 )
 from repro.experiments.common import make_workload
 from repro.faults import FaultInjector, FaultProfile, FaultSchedule
@@ -129,6 +148,10 @@ class TestJobQueueLog:
             schedd.qedit("j0", "Rank", str(i))
         assert len(schedd.wal.records) < 200
         assert schedd.wal.compactions > 0
+        # The snapshot carries the whole qedit overlay, not just the
+        # placement attributes.
+        schedd.wal.replay(schedd)
+        assert repr(schedd.get("j0").ad.get_expr("Rank")) == "Literal(499)"
 
     def test_terminal_outcomes_survive_replay(self):
         env = Environment()
@@ -146,6 +169,126 @@ class TestJobQueueLog:
         assert schedd.get("killed").result.status == "memory-limit"
         # Neither terminal job re-enters the pending queue.
         assert schedd.pending() == []
+
+
+    def test_new_subscriber_sees_every_transition_after_the_wal(self):
+        env = Environment()
+        pool, _ = make_pool(env, retry_policy=RetryPolicy(base_backoff_s=5.0))
+        schedd = pool.schedd
+        seen = []
+
+        def subscriber(tr):
+            if tr.kind != RECOVERED:
+                # Write-ahead: the journal already holds the transition.
+                assert schedd.wal.records[-1] is tr
+            seen.append(tr)
+
+        schedd.subscribe(subscriber)
+        schedd.submit(make_profile("j0"))
+        schedd.qedit("j0", "Rank", "3")
+        schedd.mark_matched("j0", token=7)
+        schedd.unmatch("j0")
+        schedd.mark_running("j0", "node0", 0)
+        schedd.mark_failed("j0", _result("j0", "device-failed"))
+        env.run(until=env.timeout(10.0))
+        schedd.mark_running("j0", "node1", 0)
+        schedd.mark_completed("j0", _result("j0", "completed", attempt=1))
+        schedd.mark_recovered()
+        assert [tr.kind for tr in seen] == [
+            SUBMIT, QEDIT, MATCH, UNMATCH, RUN, FAIL, REQUEUE, RUN, COMPLETE,
+            RECOVERED,
+        ]
+        assert all(tr.job_id == "j0" for tr in seen[:-1])
+        # Everything but the recovery notice is journaled, in order.
+        assert schedd.wal.records == seen[:-1]
+
+
+def _live_state(schedd):
+    return (
+        _queue_snapshot(schedd),
+        [
+            (r.matched_device, r.matched_at, r.result, tuple(r.failures),
+             [(name, str(r.ad.get_expr(name))) for name in r.ad.keys()])
+            for r in schedd.all_records()
+        ],
+        [r.job_id for r in schedd.pending()],
+        schedd.idle_jobs,
+        schedd.unfinished_jobs,
+        schedd.requeues,
+        schedd.terminal_failures,
+    )
+
+
+_EDITS = st.tuples(
+    st.sampled_from(["Requirements", "Rank", "AssignedPhiDevice", "Owner"]),
+    st.sampled_from(["false", "true", "0", "1", "499",
+                     'TARGET.Name == "slot1@node0"']),
+)
+
+
+class TestLiveAndReplayedStateMachine:
+    """The live queue and its replayed journal are one state machine."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_replay_reproduces_live_state(self, data):
+        env = Environment()
+        schedd = Schedd(
+            env, retry_policy=RetryPolicy(max_retries=1, base_backoff_s=5.0)
+        )
+        JobQueueLog(env, schedd)
+        token = 0
+
+        def jobs_in(*statuses):
+            return [r.job_id for r in schedd.all_records()
+                    if r.status in statuses]
+
+        for _ in range(data.draw(st.integers(1, 40))):
+            op = data.draw(st.sampled_from(
+                ["submit", "qedit", "match", "unmatch", "run", "complete",
+                 "fail", "requeue", "checkpoint"]
+            ))
+            if op == "submit":
+                job_id = f"j{schedd.total_jobs}"
+                submit_time = data.draw(st.sampled_from([0.0, 1.0, 2.0]))
+                schedd.submit(
+                    dataclasses.replace(make_profile(job_id),
+                                        submit_time=submit_time),
+                    sharing=data.draw(st.booleans()),
+                )
+            elif op == "requeue":
+                env.run(until=env.timeout(10.0))
+            elif op == "checkpoint":
+                schedd.wal.checkpoint()
+            else:
+                statuses = {
+                    "qedit": (IDLE,), "match": (IDLE,), "unmatch": (MATCHED,),
+                    "run": (IDLE, MATCHED), "complete": (RUNNING,),
+                    "fail": (RUNNING,),
+                }[op]
+                candidates = jobs_in(*statuses)
+                if not candidates:
+                    continue
+                job_id = data.draw(st.sampled_from(candidates))
+                if op == "qedit":
+                    schedd.qedit(job_id, *data.draw(_EDITS))
+                elif op == "match":
+                    token += 1
+                    schedd.mark_matched(job_id, token)
+                elif op == "unmatch":
+                    schedd.unmatch(job_id)
+                elif op == "run":
+                    schedd.mark_running(job_id, "node0", 0)
+                elif op == "complete":
+                    status = data.draw(st.sampled_from(
+                        ["completed", "memory-limit"]))
+                    schedd.mark_completed(job_id, _result(job_id, status))
+                else:
+                    schedd.mark_failed(
+                        job_id, _result(job_id, "device-failed"))
+        live = _live_state(schedd)
+        schedd.wal.replay(schedd)
+        assert _live_state(schedd) == live
 
 
 class TestDaemonSupervisor:

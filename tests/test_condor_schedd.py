@@ -3,6 +3,7 @@
 import pytest
 
 from repro.condor import Schedd
+from repro.condor.schedd import COMPLETE, RUN, SUBMIT
 from repro.mpss import JobRunResult
 from repro.sim import Environment
 from repro.workloads import HostPhase, JobProfile, OffloadPhase
@@ -22,6 +23,18 @@ def make_profile(job_id="j1", submit_time=0.0, memory=1000.0):
 def result_for(job_id, end=10.0):
     return JobRunResult(job_id=job_id, start=0.0, end=end, status="completed",
                         offloads_run=1)
+
+
+def subscribed(schedd, kind):
+    """The transitions of ``kind`` the schedd publishes from now on."""
+    seen = []
+
+    def keep(tr):
+        if tr.kind == kind:
+            seen.append(tr)
+
+    schedd.subscribe(keep)
+    return seen
 
 
 @pytest.fixture
@@ -56,18 +69,19 @@ class TestSubmission:
         assert schedd.total_jobs == 5
 
     def test_submit_listeners_fire_on_submission(self, schedd):
-        seen = []
-        schedd.submit_listeners.append(lambda r: seen.append(r.job_id))
+        seen = subscribed(schedd, SUBMIT)
         schedd.submit(make_profile("a"))
         schedd.submit_many([make_profile("b"), make_profile("c")])
-        assert seen == ["a", "b", "c"]
+        assert [tr.job_id for tr in seen] == ["a", "b", "c"]
 
     def test_submit_listener_may_qedit_new_job(self, schedd):
         # The external scheduler parks arrivals from this hook; the job
-        # must still be idle (editable) when the listener runs.
-        schedd.submit_listeners.append(
-            lambda r: schedd.qedit(r.job_id, "Requirements", "false")
-        )
+        # must still be idle (editable) when the subscriber runs.
+        def park(tr):
+            if tr.kind == SUBMIT:
+                schedd.qedit(tr.job_id, "Requirements", "false")
+
+        schedd.subscribe(park)
         record = schedd.submit(make_profile("a"))
         assert record.ad.evaluate("Requirements") is False
 
@@ -126,21 +140,20 @@ class TestLifecycle:
         assert record.completion.value.job_id == "j1"
 
     def test_start_listeners_fire_on_dispatch(self, schedd):
-        seen = []
-        schedd.start_listeners.append(
-            lambda r: seen.append((r.job_id, r.matched_node))
-        )
+        seen = subscribed(schedd, RUN)
         schedd.submit(make_profile("a"))
         schedd.mark_running("a", "n0", 0)
-        assert seen == [("a", "n0")]
+        assert [(tr.job_id, tr.node) for tr in seen] == [("a", "n0")]
+        assert schedd.get("a").matched_node == "n0"
 
     def test_completion_listeners(self, schedd):
-        seen = []
-        schedd.completion_listeners.append(lambda r: seen.append(r.job_id))
+        seen = subscribed(schedd, COMPLETE)
         schedd.submit(make_profile())
         schedd.mark_running("j1", "n", 0)
         schedd.mark_completed("j1", result_for("j1"))
-        assert seen == ["j1"]
+        assert [tr.job_id for tr in seen] == ["j1"]
+        assert seen[0].result.job_id == "j1"
+        assert schedd.get("j1").status == "Completed"
 
     def test_all_done_event(self, env, schedd):
         schedd.submit(make_profile("a"))

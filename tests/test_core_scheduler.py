@@ -4,6 +4,7 @@ import pytest
 
 from repro.cluster import ComputeNode
 from repro.condor import CondorPool, PinnedPlacement
+from repro.condor.schedd import COMPLETE, RUN
 from repro.core import DevicePacker, KnapsackClusterScheduler, PARK_EXPRESSION
 from repro.sim import Environment
 from repro.workloads import HostPhase, JobProfile, OffloadPhase
@@ -94,13 +95,15 @@ class TestFig4Loop:
 
         over = []
 
-        def check(record):
+        def check(tr):
+            if tr.kind != COMPLETE:
+                return
             for (node, device), committed in scheduler._committed.items():
                 if committed > scheduler._capacity[(node, device)] + 1e-9:
                     over.append((node, device, committed))
 
         scheduler.attach()
-        pool.schedd.completion_listeners.append(check)
+        pool.schedd.subscribe(check)
         pool.run_to_completion()
         assert not over
 
@@ -192,11 +195,11 @@ class TestParkingOnSubmission:
 
         violations = []
 
-        def check_start(record):
-            if scheduler.assignment_of(record.job_id) is None:
-                violations.append(record.job_id)
+        def check_start(tr):
+            if tr.kind == RUN and scheduler.assignment_of(tr.job_id) is None:
+                violations.append(tr.job_id)
 
-        pool.schedd.start_listeners.append(check_start)
+        pool.schedd.subscribe(check_start)
 
         def late_submitter(env):
             for i in range(4):

@@ -12,6 +12,7 @@ from repro.condor import (
     RetryPolicy,
     Schedd,
 )
+from repro.condor.schedd import FAIL, REQUEUE
 from repro.mpss import JobRunResult
 from repro.sim import Environment
 from repro.workloads import generate_table1_jobs
@@ -196,10 +197,14 @@ class TestScheddFailurePath:
         schedd, record = self._submit_one(env, base_backoff_s=5.0)
         failures = []
         requeues = []
-        schedd.failure_listeners.append(
-            lambda rec, res, retry: failures.append((rec.job_id, retry))
-        )
-        schedd.requeue_listeners.append(lambda rec: requeues.append(rec.job_id))
+
+        def listen(tr):
+            if tr.kind == FAIL:
+                failures.append((tr.job_id, tr.retry))
+            elif tr.kind == REQUEUE:
+                requeues.append(tr.job_id)
+
+        schedd.subscribe(listen)
         schedd.mark_running(record.job_id, "node0", 0)
         schedd.mark_failed(record.job_id, _failed_result(record.job_id))
         assert failures == [(record.job_id, True)]
