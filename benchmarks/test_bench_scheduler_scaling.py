@@ -14,6 +14,12 @@ still-huge queue) and report completions per wall-second. Driving a
 exactly the per-event cost at depth Q; draining all Q jobs would measure
 the same event repeated Q times.
 
+Next to the wall numbers the bench records the shape index's work per
+pack, a count that does not depend on the machine: fitting shapes
+offered to the packer, jobs chosen, and jobs read from the index. A
+pack reads one head per fitting shape plus the jobs it chooses, never
+the queue, so ``touched <= shapes + chosen`` (CI asserts it).
+
 Run alongside the other benches (``pytest benchmarks/``). Depth 50k is
 skipped unless ``REPRO_FULL=1`` to keep CI smoke runs quick.
 """
@@ -137,6 +143,10 @@ def _measure(queue_depth: int) -> dict:
         if scheduler.decisions
         else 0,
         "peak_rss_mb": _peak_rss_mb(),
+        "packs": scheduler.packer.solver_calls,
+        "shapes": scheduler.shapes_examined,
+        "chosen": sum(len(d.packing.chosen) for d in scheduler.decisions),
+        "touched": scheduler.jobs_touched,
     }
 
 
@@ -155,6 +165,18 @@ def _render(rows: list[dict]) -> str:
             f"{r['jobs_per_sec']:>9.1f} {r['repack_passes']:>8} "
             f"{r['coalesced']:>10} {r['peak_rss_mb']:>12.1f}"
         )
+    lines += [
+        "",
+        "Shape-index work, all packs (deterministic): touched <= shapes + chosen",
+        "",
+        f"{'Q':>7} {'packs':>7} {'shapes':>8} {'chosen':>7} {'touched':>8} "
+        f"{'touched/pack':>13}",
+    ]
+    for r in rows:
+        lines.append(
+            f"{r['Q']:>7} {r['packs']:>7} {r['shapes']:>8} {r['chosen']:>7} "
+            f"{r['touched']:>8} {r['touched'] / r['packs']:>13.1f}"
+        )
     return "\n".join(lines)
 
 
@@ -172,3 +194,4 @@ def test_bench_scheduler_scaling(record_result):
         # With randomized durations completions rarely coincide, so the
         # pass count can reach the completion count — never exceed it.
         assert r["repack_passes"] <= r["completions"]
+        assert r["touched"] <= r["shapes"] + r["chosen"]

@@ -10,7 +10,7 @@ from .knapsack import (
     knapsack_cardinality,
     knapsack_thread_capped,
 )
-from .packer import DevicePacker, DevicePacking, PackableJob
+from .packer import DevicePacker, DevicePacking, PackableJob, ShapeGroups
 from .scheduler import KnapsackClusterScheduler, PackingDecision, PARK_EXPRESSION
 from .value import (
     ValueFunction,
@@ -35,6 +35,7 @@ __all__ = [
     "PackingDecision",
     "ResourceEstimate",
     "ResourceEstimator",
+    "ShapeGroups",
     "ValueFunction",
     "brute_force",
     "constant_value",

@@ -20,27 +20,34 @@ plus :func:`brute_force` for property-testing the DPs on small inputs.
 
 Shape classes and memory model
 ------------------------------
-Jobs in one pack share few shapes: in the Fig. 10 MCCK cell a pack
-sees ~500 pending jobs but only ~35 distinct ``(declared_mb,
-declared_threads)`` pairs. The solvers therefore group items into
-classes of equal (quantized weight, quantized cost, value), cap each
-class's multiplicity at what could fit (``W // w`` and ``K // c``), and
-split it in binary — multiplicity m becomes chunks of 1, 2, 4, ...
-members, ⌊log₂ m⌋ + 1 in all, which can sum to any count 0..m. One
-dense 0-1 DP over the chunks, with a boolean ``take`` table per chunk,
-solves the bounded knapsack exactly; backtracking runs from ``(W, K)``.
+Jobs in one pack share few shapes: in the Fig. 10 MCCK cell ~500 jobs
+fit a pack, but they have only ~35 distinct ``(declared_mb,
+declared_threads)`` pairs. The knapsack scheduler therefore keeps its
+pending jobs grouped by shape and hands the packer ~35 shape groups
+with their sizes, not ~500 jobs; the public solvers below group a flat
+item list the same way. :func:`_solve` works on per-shape counts: it
+merges shapes into classes of equal (quantized weight, quantized cost,
+value), caps each class's multiplicity at what could fit (``W // w``
+and ``K // c``), and splits it in binary — multiplicity m becomes
+chunks of 1, 2, 4, ... members, ⌊log₂ m⌋ + 1 in all, which can sum to
+any count 0..m. One dense 0-1 DP over the chunks, with a boolean
+``take`` table per chunk, solves the bounded knapsack exactly;
+backtracking runs from ``(W, K)``.
 Time and memory are O(chunks · W · K), where chunks grows with the
 number of distinct quantized shapes (at most ``log₂ W + 1`` chunks per
-class), not with the queue length. ``K`` is 0 for :func:`knapsack_1d`,
+class), not with the queue length; only the chosen members are ever
+materialized (:func:`_take`). ``K`` is 0 for :func:`knapsack_1d`,
 the item bound for :func:`knapsack_cardinality` (cost 1 per item) and
 the quantized thread budget for :func:`knapsack_thread_capped`.
 
 Tie-break (canonical): a DP cell is overwritten only on a *strict*
 improvement, so among equal-value packings the one reachable without a
-later chunk wins — classes earlier in the input (by first member) are
-preferred — and within each chosen class the FIFO-earliest members
-(lowest indices) are taken. Identical items therefore always resolve to
-the lowest indices.
+later chunk wins — classes earlier in the input (by the FIFO position
+of their raw shapes' first members) are preferred — and within each
+chosen class the FIFO-earliest members (lowest indices) are taken,
+across all its raw shapes. Identical items therefore always resolve to
+the lowest indices. The item bound and the class caps count members,
+not shapes.
 
 Quantization
 ------------
@@ -173,25 +180,29 @@ def _shape_groups(items: Sequence[Item]) -> dict[tuple[float, int, float], list[
 
 
 def _solve(
-    items: Sequence[Item],
-    groups: dict[tuple[float, int, float], list[int]],
+    shapes: Sequence[Item],
+    counts: Sequence[int],
     W: int,
     weights: Sequence[int],
     K: int,
     costs: Sequence[int],
-) -> PackResult:
+) -> list[tuple[list[int], int]]:
     """Bounded knapsack over shape classes, weight x cost capacity (W, K).
 
-    ``weights``/``costs`` are the quantized weight and cost of each raw
-    shape in ``groups`` (same order). Shapes that quantize alike merge
-    into one class; each class is capped at the multiplicity that could
-    fit and split in binary into chunks of 1, 2, 4, ... members, which
-    a dense 0-1 DP over the chunks then solves exactly.
+    ``shapes`` holds one item per raw shape and ``counts`` how many
+    members it has; ``weights``/``costs`` are each shape's quantized
+    weight and cost. Shapes that quantize alike merge into one class;
+    each class is capped at the multiplicity that could fit and split in
+    binary into chunks of 1, 2, 4, ... members, which a dense 0-1 DP
+    over the chunks then solves exactly. Returns, per class that gives
+    members, the positions of its raw shapes and how many members it
+    gives (its FIFO-earliest ones, see :func:`_take`).
     """
-    classes: dict[tuple[int, int, float], list[list[int]]] = {}
-    for (_, _, v), w, c, members in zip(groups, weights, costs, groups.values()):
-        if v > 0 and w <= W and c <= K:
-            classes.setdefault((w, c, v), []).append(members)
+    n = sum(counts)
+    classes: dict[tuple[int, int, float], list[int]] = {}
+    for s, (shape, w, c) in enumerate(zip(shapes, weights, costs)):
+        if shape.value > 0 and w <= W and c <= K:
+            classes.setdefault((w, c, shape.value), []).append(s)
 
     # Classes of one quantized (w, c) differ only in value, so an optimum
     # uses the most valuable members first and never more than could
@@ -202,8 +213,8 @@ def _solve(
         w, c, _ = key
         left = room.get((w, c))
         if left is None:
-            left = min(W // w if w else len(items), K // c if c else len(items))
-        m = min(sum(len(run) for run in classes[key]), left)
+            left = min(W // w if w else n, K // c if c else n)
+        m = min(sum(counts[s] for s in classes[key]), left)
         room[(w, c)] = left - m
         multiplicity[key] = m
 
@@ -240,13 +251,81 @@ def _solve(
             taken[key] = taken.get(key, 0) + size
             w_left -= w
             k_left -= c
+    return [(classes[key], count) for key, count in taken.items()]
 
-    chosen: list[int] = []
-    for key, count in taken.items():
-        runs = classes[key]
-        members = runs[0] if len(runs) == 1 else heapq.merge(*runs)
-        chosen.extend(islice(members, count))
-    return _result(items, chosen)
+
+def _plan(
+    shapes: Sequence[Item],
+    counts: Sequence[int],
+    capacity: float,
+    quantum: float,
+    max_items: Optional[int] = None,
+    thread_capacity: Optional[int] = None,
+    thread_quantum: int = 4,
+) -> list[tuple[list[int], int]]:
+    """Quantize per-shape inputs for one solver and run :func:`_solve`.
+
+    The cost dimension is the quantized threads under ``thread_capacity``
+    (:func:`knapsack_thread_capped`), else one per item under
+    ``max_items`` (:func:`knapsack_cardinality`), else absent
+    (:func:`knapsack_1d`). The item bound counts members, not shapes.
+    """
+    W, weights = _consistent_grid([s.weight for s in shapes], capacity, quantum)
+    if thread_capacity is not None:
+        K, costs = _consistent_grid(
+            [float(s.threads) for s in shapes],
+            float(thread_capacity),
+            float(thread_quantum),
+        )
+    elif max_items is not None:
+        K, costs = min(max_items, sum(counts)), [1] * len(shapes)
+    else:
+        K, costs = 0, [0] * len(shapes)
+    return _solve(shapes, counts, W, weights, K, costs)
+
+
+def _take(
+    runs: Sequence,
+    levels: list[list[tuple[list[int], int]]],
+    key=None,
+    limit: Optional[int] = None,
+) -> list:
+    """The members :func:`_solve` chose, given each raw shape's run.
+
+    Every run is in FIFO order; a class gives its FIFO-earliest members
+    across its raw shapes' runs, merged by ``key``. ``levels`` splits
+    the solve's classes into priority levels: with a ``limit``, earlier
+    levels fill it first and, within a level, FIFO-earlier members win.
+    Each level comes out in FIFO order.
+    """
+    chosen: list = []
+    for taken in levels:
+        classes = [
+            islice(
+                runs[positions[0]]
+                if len(positions) == 1
+                else heapq.merge(*(runs[p] for p in positions), key=key),
+                count,
+            )
+            for positions, count in taken
+        ]
+        room = None if limit is None else limit - len(chosen)
+        chosen.extend(islice(heapq.merge(*classes, key=key), room))
+    return chosen
+
+
+def _pack_items(
+    items: Sequence[Item], capacity: float, quantum: float, **bounds
+) -> PackResult:
+    runs = list(_shape_groups(items).values())
+    taken = _plan(
+        [items[run[0]] for run in runs],
+        [len(run) for run in runs],
+        capacity,
+        quantum,
+        **bounds,
+    )
+    return _result(items, _take(runs, [taken]))
 
 
 # -- public solvers -----------------------------------------------------------
@@ -263,9 +342,7 @@ def knapsack_1d(
     chunks depends on the distinct quantized shapes, not on len(items).
     """
     _validate(capacity, quantum)
-    groups = _shape_groups(items)
-    W, weights = _consistent_grid([w for w, _, _ in groups], capacity, quantum)
-    return _solve(items, groups, W, weights, 0, [0] * len(weights))
+    return _pack_items(items, capacity, quantum)
 
 
 def knapsack_cardinality(
@@ -282,10 +359,7 @@ def knapsack_cardinality(
     _validate(capacity, quantum)
     if max_items < 0:
         raise ValueError("max_items must be non-negative")
-    groups = _shape_groups(items)
-    W, weights = _consistent_grid([w for w, _, _ in groups], capacity, quantum)
-    K = min(max_items, len(items))
-    return _solve(items, groups, W, weights, K, [1] * len(weights))
+    return _pack_items(items, capacity, quantum, max_items=max_items)
 
 
 def knapsack_thread_capped(
@@ -302,14 +376,13 @@ def knapsack_thread_capped(
         raise ValueError("thread_capacity must be positive")
     if thread_quantum <= 0:
         raise ValueError("thread_quantum must be positive")
-    groups = _shape_groups(items)
-    W, weights = _consistent_grid([w for w, _, _ in groups], capacity, quantum)
-    T, threads = _consistent_grid(
-        [float(t) for _, t, _ in groups],
-        float(thread_capacity),
-        float(thread_quantum),
+    return _pack_items(
+        items,
+        capacity,
+        quantum,
+        thread_capacity=thread_capacity,
+        thread_quantum=thread_quantum,
     )
-    return _solve(items, groups, W, weights, T, threads)
 
 
 def brute_force(

@@ -20,8 +20,9 @@ prescribes ("we do not assume knowledge of job execution times").
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from heapq import merge as _heapq_merge
+import operator
+from bisect import bisect_left, bisect_right, insort
+from dataclasses import dataclass
 from typing import Optional
 
 from ..condor.ads import pin_requirements
@@ -30,9 +31,12 @@ from ..condor.schedd import (
     COMPLETE,
     FAIL,
     IDLE,
+    MATCH,
     RECOVERED,
     REQUEUE,
+    RUN,
     SUBMIT,
+    UNMATCH,
     JobRecord,
     Transition,
     job_tid,
@@ -40,10 +44,13 @@ from ..condor.schedd import (
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
 from ..sim import profile as _profile
-from .packer import DevicePacker, DevicePacking
+from .packer import DevicePacker, DevicePacking, ShapeGroups
 
 #: Requirements expression that matches no machine (a parked job).
 PARK_EXPRESSION = "false"
+
+_FIFO_KEY = operator.attrgetter("fifo_key")
+_PROFILE = operator.attrgetter("profile")
 
 
 @dataclass
@@ -94,20 +101,22 @@ class KnapsackClusterScheduler:
         self._node_active: dict[str, int] = {}
         self.decisions: list[PackingDecision] = []
         self._attached = False
-        # Incremental index of unassigned idle jobs (FIFO order), updated
-        # on submit / assign / complete instead of rescanning the queue.
-        self._pending_index: dict[str, JobRecord] = {}
-        self._pending_ordered = True
-        self._last_fifo_key: tuple[float, int] = (float("-inf"), 0)
-        self._parked: set[str] = set()
-        # Weight-bucketed view of the same index: bucket b holds jobs
-        # whose declared memory lies in [2^(b-1), 2^b). A repack with F
-        # MB free merges only buckets that can contain fitting jobs, so
-        # its cost tracks the *fitting* queue, not the whole backlog.
-        self._buckets: dict[int, dict[str, JobRecord]] = {}
-        #: Pending-index traffic for the profiler's scheduler section.
-        self.index_jobs_examined = 0
-        self.index_jobs_skipped = 0
+        # The shape index: every unassigned idle job, by declared
+        # (memory MB, threads) shape, each shape's jobs in FIFO order.
+        # The schedd's transition stream keeps it exact, so a pack reads
+        # the fitting shapes' heads and the jobs it chooses, never the
+        # whole queue. ``_shape_keys`` lists the shapes sorted, so the
+        # fitting ones are a prefix.
+        self._shapes: dict[tuple[float, int], dict[str, JobRecord]] = {}
+        self._shape_keys: list[tuple[float, int]] = []
+        #: Shapes that took a job out of FIFO order, re-sorted on use.
+        self._unsorted: set[tuple[float, int]] = set()
+        #: Indexed jobs not parked yet: attach's first pass parks them.
+        self._unparked: dict[str, JobRecord] = {}
+        #: Shape-index traffic: shapes offered to the packer, and jobs
+        #: read from them (one head per shape plus each job chosen).
+        self.shapes_examined = 0
+        self.jobs_touched = 0
         # Same-timestep completions coalesce into one repack pass.
         self._dirty_devices: set[tuple[str, int]] = set()
         self._repack_scheduled = False
@@ -136,6 +145,7 @@ class KnapsackClusterScheduler:
         self.schedd.subscribe(self._on_transition)
         for record in self.schedd.pending():
             self._index_add(record)
+            self._unparked[record.job_id] = record
         self.schedule_pending()
 
     # -- the Fig. 4 loop -------------------------------------------------------
@@ -154,40 +164,73 @@ class KnapsackClusterScheduler:
         self._park_unassigned()
         return assigned
 
-    # -- pending-job index -----------------------------------------------------
-
-    @staticmethod
-    def _bucket_key(declared_mb: float) -> int:
-        # frexp puts declared in [2^(b-1), 2^b); 0 MB lands in bucket 0.
-        return math.frexp(declared_mb)[1]
+    # -- the shape index ------------------------------------------------------
 
     def _index_add(self, record: JobRecord) -> None:
-        key = (record.profile.submit_time, record.seq)
-        if key < self._last_fifo_key:
-            # Out-of-order submit time: fall back to a lazy re-sort.
-            self._pending_ordered = False
-        else:
-            self._last_fifo_key = key
-        self._pending_index[record.job_id] = record
-        bucket = self._bucket_key(record.profile.declared_memory_mb)
-        self._buckets.setdefault(bucket, {})[record.job_id] = record
+        profile = record.profile
+        shape = (profile.declared_memory_mb, profile.declared_threads)
+        members = self._shapes.get(shape)
+        if members is None:
+            members = self._shapes[shape] = {}
+            insort(self._shape_keys, shape)
+        elif record.job_id in members:
+            return
+        elif record.fifo_key < next(reversed(members.values())).fifo_key:
+            self._unsorted.add(shape)  # a requeue, or an earlier submit time
+        members[record.job_id] = record
 
-    def _index_remove(self, job_id: str) -> Optional[JobRecord]:
-        record = self._pending_index.pop(job_id, None)
-        if record is not None:
-            bucket = self._bucket_key(record.profile.declared_memory_mb)
-            entries = self._buckets.get(bucket)
-            if entries is not None:
-                entries.pop(job_id, None)
-                if not entries:
-                    del self._buckets[bucket]
-        self._parked.discard(job_id)
-        return record
+    def _index_remove(self, record: JobRecord) -> None:
+        self._unparked.pop(record.job_id, None)
+        profile = record.profile
+        shape = (profile.declared_memory_mb, profile.declared_threads)
+        members = self._shapes.get(shape)
+        if members is None or members.pop(record.job_id, None) is None:
+            return
+        if not members:
+            del self._shapes[shape]
+            del self._shape_keys[bisect_left(self._shape_keys, shape)]
+            self._unsorted.discard(shape)
+
+    def _members(self, shape: tuple[float, int]) -> dict[str, JobRecord]:
+        members = self._shapes[shape]
+        if shape in self._unsorted:
+            self._unsorted.discard(shape)
+            members = self._shapes[shape] = dict(
+                sorted(members.items(), key=lambda item: item[1].fifo_key)
+            )
+        return members
+
+    def _unassigned_pending(self) -> list[JobRecord]:
+        """Every indexed job (unassigned and idle), in FIFO order."""
+        return sorted(
+            (r for members in self._shapes.values() for r in members.values()),
+            key=_FIFO_KEY,
+        )
+
+    def _fitting(self, free_mb: float) -> ShapeGroups:
+        """The shapes whose jobs fit ``free_mb``, as the packer's view."""
+        end = bisect_right(self._shape_keys, (free_mb, math.inf))
+        groups = [
+            (mb, threads, self._members((mb, threads)).values())
+            for mb, threads in self._shape_keys[:end]
+        ]
+        view = ShapeGroups(groups, _FIFO_KEY, _PROFILE)
+        self.shapes_examined += end
+        prof = _profile.ACTIVE
+        if prof is not None:
+            prof.pack_shapes_examined += end
+            indexed = sum(len(members) for members in self._shapes.values())
+            prof.pack_jobs_skipped += indexed - len(view)
+            if len(self._shapes) > prof.pack_shapes_peak:
+                prof.pack_shapes_peak = len(self._shapes)
+        return view
 
     def _on_transition(self, tr: Transition) -> None:
         kind = tr.kind
-        if kind == RECOVERED:
-            self._on_recovery()
+        if kind == RUN or kind == MATCH:
+            # The job left the idle queue (normally a pinned one, which
+            # is not indexed).
+            self._index_remove(self.schedd.get(tr.job_id))
         elif kind == COMPLETE:
             self._on_completion(self.schedd.get(tr.job_id))
         elif kind == SUBMIT:
@@ -196,6 +239,13 @@ class KnapsackClusterScheduler:
             self._on_failure(self.schedd.get(tr.job_id))
         elif kind == REQUEUE:
             self._on_requeue(self.schedd.get(tr.job_id))
+        elif kind == UNMATCH:
+            if tr.job_id not in self._assignment:
+                # Matched while displaced from a failed card: still
+                # parked, and unassigned again.
+                self._index_add(self.schedd.get(tr.job_id))
+        elif kind == RECOVERED:
+            self._on_recovery()
 
     def _on_submit(self, record: JobRecord) -> None:
         """Index — and immediately park — a post-attach arrival.
@@ -207,7 +257,6 @@ class KnapsackClusterScheduler:
         """
         self._index_add(record)
         self.schedd.qedit(record.job_id, "Requirements", PARK_EXPRESSION)
-        self._parked.add(record.job_id)
         self._note_parked(record, reason="submit")
 
     def _note_parked(self, record: JobRecord, reason: str) -> None:
@@ -225,93 +274,6 @@ class KnapsackClusterScheduler:
         if registry is not None:
             registry.counter("scheduler.parks").inc()
 
-    def _ensure_ordered(self) -> None:
-        if self._pending_ordered:
-            return
-        ordered = sorted(
-            self._pending_index.values(),
-            key=lambda r: (r.profile.submit_time, r.seq),
-        )
-        self._pending_index = {r.job_id: r for r in ordered}
-        self._buckets = {}
-        for record in ordered:
-            bucket = self._bucket_key(record.profile.declared_memory_mb)
-            self._buckets.setdefault(bucket, {})[record.job_id] = record
-        self._pending_ordered = True
-        if ordered:
-            last = ordered[-1]
-            self._last_fifo_key = (last.profile.submit_time, last.seq)
-
-    def _unassigned_pending(self) -> list[JobRecord]:
-        """Unassigned idle jobs in FIFO order, from the incremental index.
-
-        O(1) amortized maintenance per queue event; listing is linear in
-        the *unassigned* count only (never the full job history). Entries
-        that left the idle state outside our control are purged lazily.
-        """
-        self._ensure_ordered()
-        stale = [
-            job_id
-            for job_id, record in self._pending_index.items()
-            if record.status != IDLE
-        ]
-        for job_id in stale:
-            self._index_remove(job_id)
-        return list(self._pending_index.values())
-
-    def _fitting_pending(self, free_mb: float) -> list[JobRecord]:
-        """Unassigned idle jobs that fit ``free_mb``, in FIFO order.
-
-        Merges only the weight buckets that can contain fitting jobs:
-        buckets entirely below the free capacity stream through whole,
-        the single boundary bucket is filtered per job, and heavier
-        buckets are never touched. The (submit_time, seq) key is unique
-        per record, so the bucket merge reproduces exactly the order a
-        full FIFO walk filtered by weight would have produced.
-        """
-        self._ensure_ordered()
-        boundary = self._bucket_key(free_mb)
-        runs = []
-        touched = 0
-        for bucket, entries in self._buckets.items():
-            if bucket > boundary:
-                continue
-            touched += len(entries)
-            if bucket == boundary:
-                run = [
-                    r
-                    for r in entries.values()
-                    if r.profile.declared_memory_mb <= free_mb
-                ]
-            else:
-                run = list(entries.values())
-            if run:
-                runs.append(run)
-        self.index_jobs_examined += touched
-        self.index_jobs_skipped += len(self._pending_index) - touched
-        prof = _profile.ACTIVE
-        if prof is not None:
-            prof.index_jobs_examined += touched
-            prof.index_jobs_skipped += len(self._pending_index) - touched
-            if len(self._buckets) > prof.index_buckets_peak:
-                prof.index_buckets_peak = len(self._buckets)
-        if not runs:
-            return []
-        if len(runs) == 1:
-            merged = runs[0]
-        else:
-            merged = list(
-                _heapq_merge(
-                    *runs, key=lambda r: (r.profile.submit_time, r.seq)
-                )
-            )
-        stale = [r.job_id for r in merged if r.status != IDLE]
-        if stale:
-            for job_id in stale:
-                self._index_remove(job_id)
-            merged = [r for r in merged if r.status == IDLE]
-        return merged
-
     def _pack_device(self, node: str, device: int) -> int:
         key = (node, device)
         if key in self._offline:
@@ -319,29 +281,31 @@ class KnapsackClusterScheduler:
         free_mb = self._capacity[key] - self._committed[key]
         if free_mb <= 0:
             return 0
-        candidates = self._fitting_pending(free_mb)
-        if not candidates:
-            return 0
         max_jobs: Optional[int] = None
         if self.respect_host_slots:
             max_jobs = self._node_slots[node] - self._node_active[node]
             if max_jobs <= 0:
                 return 0
-        packing = self.packer.pack(
-            [record.profile for record in candidates], free_mb, max_jobs
-        )
+        candidates = self._fitting(free_mb)
+        if not candidates.groups:
+            return 0
+        packing = self.packer.pack(candidates, free_mb, max_jobs)
         if not packing.chosen and self._committed[key] <= 0:
             # Progress guarantee: a value function may rate every
             # candidate at zero (Eq. 1 gives full-card jobs no value), but
             # an idle device with pending work must never starve — run the
             # FIFO-first job that fits, as plain Condor would.
-            first = candidates[0]
+            first = candidates.head()
             packing = DevicePacking(
                 chosen=(first.job_id,),
                 total_declared_mb=first.profile.declared_memory_mb,
                 total_declared_threads=first.profile.declared_threads,
                 total_value=0.0,
             )
+        self.jobs_touched += candidates.touched
+        prof = _profile.ACTIVE
+        if prof is not None:
+            prof.pack_jobs_touched += candidates.touched
         if packing.chosen:
             self.decisions.append(
                 PackingDecision(
@@ -352,15 +316,14 @@ class KnapsackClusterScheduler:
                     packing=packing,
                 )
             )
-            by_id = {record.job_id: record for record in candidates}
             edits = []
             tracer = _trace.ACTIVE
             for job_id in packing.chosen:
-                record = by_id[job_id]
+                record = self.schedd.get(job_id)
                 self._assignment[job_id] = key
                 self._committed[key] += record.profile.declared_memory_mb
                 self._node_active[node] += 1
-                self._index_remove(job_id)
+                self._index_remove(record)
                 if tracer is not None:
                     tracer.instant(
                         "pinned",
@@ -400,24 +363,21 @@ class KnapsackClusterScheduler:
         return len(packing.chosen)
 
     def _park_unassigned(self) -> None:
+        # Every other way into the index parks the job on the spot, and
+        # attach fills ``_unparked`` in FIFO order.
         edits = []
-        for record in self._unassigned_pending():
-            if record.job_id in self._parked:
-                continue  # parked at submission; nothing to re-evaluate
+        for record in self._unparked.values():
             if record.ad.evaluate("Requirements") is not False:
                 edits.append((record.job_id, "Requirements", PARK_EXPRESSION))
-            self._parked.add(record.job_id)
             self._note_parked(record, reason="unassigned")
+        self._unparked.clear()
         if edits:
             self.schedd.qedit_batch(edits)
 
     def _on_completion(self, record: JobRecord) -> None:
         key = self._assignment.pop(record.job_id, None)
         if key is None:
-            # Not ours (e.g., dispatched before attach); drop any index
-            # remnants so the job cannot be offered to the packer again.
-            self._index_remove(record.job_id)
-            return
+            return  # not ours (e.g., dispatched before attach)
         node, device = key
         self._committed[key] = max(
             0.0, self._committed[key] - record.profile.declared_memory_mb
@@ -507,7 +467,6 @@ class KnapsackClusterScheduler:
             )
             self._node_active[node] -= 1
             self._index_add(record)
-            self._parked.add(job_id)
             self._note_parked(record, reason="device-failed")
             edits.append((job_id, "Requirements", PARK_EXPRESSION))
         if edits:
@@ -534,7 +493,6 @@ class KnapsackClusterScheduler:
         """
         key = self._assignment.pop(record.job_id, None)
         if key is None:
-            self._index_remove(record.job_id)
             return
         node, _device = key
         self._committed[key] = max(
@@ -559,11 +517,10 @@ class KnapsackClusterScheduler:
         pack. Memory commitments for matched/running jobs are untouched
         — their claims were re-adopted, not re-planned.
         """
-        self._pending_index = {}
-        self._buckets = {}
-        self._parked = set()
-        self._pending_ordered = True
-        self._last_fifo_key = (float("-inf"), 0)
+        self._shapes = {}
+        self._shape_keys = []
+        self._unsorted = set()
+        self._unparked = {}
         self._dirty_devices.clear()
         edits = []
         for record in self.schedd.pending():
@@ -585,7 +542,6 @@ class KnapsackClusterScheduler:
                 )
                 self._node_active[node] -= 1
             self._index_add(record)
-            self._parked.add(record.job_id)
             if record.ad.evaluate("Requirements") is not False:
                 edits.append((record.job_id, "Requirements", PARK_EXPRESSION))
             self._note_parked(record, reason="recovery")
@@ -598,7 +554,6 @@ class KnapsackClusterScheduler:
         """Backoff elapsed: park the retry and offer it to the packer."""
         self._index_add(record)
         self.schedd.qedit(record.job_id, "Requirements", PARK_EXPRESSION)
-        self._parked.add(record.job_id)
         self._note_parked(record, reason="requeue")
         self._mark_all_online_dirty()
         self._schedule_repack()

@@ -64,10 +64,12 @@ class SimProfiler:
     packing_cache_hits:
         Always 0: the packer has no solve cache. Kept only because the
         benchmark's traced run (``perfbench``) reads it.
-    index_jobs_examined / index_jobs_skipped / index_buckets_peak:
-        Pending-index bucket traffic: jobs streamed from fitting weight
-        buckets, jobs in heavier buckets never touched, and the largest
-        bucket count observed.
+    pack_shapes_examined / pack_jobs_touched / pack_jobs_skipped /
+    pack_shapes_peak:
+        The knapsack scheduler's shape index: job shapes that fit a pack
+        and were offered to the packer, jobs read from them (one head per
+        shape plus each job chosen), jobs in shapes too big for the
+        free memory (never read), and the most shapes indexed at once.
     """
 
     __slots__ = (
@@ -88,9 +90,10 @@ class SimProfiler:
         "devices_repacked",
         "solver_calls",
         "packing_cache_hits",
-        "index_jobs_examined",
-        "index_jobs_skipped",
-        "index_buckets_peak",
+        "pack_shapes_examined",
+        "pack_jobs_touched",
+        "pack_jobs_skipped",
+        "pack_shapes_peak",
         "_started",
         "wall_total",
     )
@@ -113,9 +116,10 @@ class SimProfiler:
         self.devices_repacked = 0
         self.solver_calls = 0
         self.packing_cache_hits = 0
-        self.index_jobs_examined = 0
-        self.index_jobs_skipped = 0
-        self.index_buckets_peak = 0
+        self.pack_shapes_examined = 0
+        self.pack_jobs_touched = 0
+        self.pack_jobs_skipped = 0
+        self.pack_shapes_peak = 0
         self._started: Optional[float] = None
         self.wall_total = 0.0
 
@@ -221,10 +225,7 @@ class SimProfiler:
                 f"{'compile cache evictions':<24}{self.compile_evictions:>16,}"
             )
         if self.repack_passes or self.solver_calls:
-            examined = self.index_jobs_examined
-            skipped = self.index_jobs_skipped
-            total = examined + skipped
-            skip_share = 100.0 * skipped / total if total else 0.0
+            packs = self.solver_calls
             lines.append("scheduler " + "-" * 48)
             lines.append(
                 f"{'repack passes':<24}{self.repack_passes:>16,}"
@@ -236,14 +237,18 @@ class SimProfiler:
                 f"{'knapsack solver calls':<24}{self.solver_calls:>16,}"
             )
             lines.append(
-                f"{'index jobs examined':<24}{examined:>16,}"
+                f"{'shapes examined/pack':<24}"
+                f"{self.pack_shapes_examined / packs if packs else 0.0:>16,.1f}"
             )
             lines.append(
-                f"{'index jobs skipped':<24}{skipped:>16,}"
-                f"  ({skip_share:.1f}%)"
+                f"{'jobs touched/pack':<24}"
+                f"{self.pack_jobs_touched / packs if packs else 0.0:>16,.1f}"
             )
             lines.append(
-                f"{'index buckets peak':<24}{self.index_buckets_peak:>16,}"
+                f"{'jobs skipped':<24}{self.pack_jobs_skipped:>16,}"
+            )
+            lines.append(
+                f"{'shapes peak':<24}{self.pack_shapes_peak:>16,}"
             )
         return "\n".join(lines)
 

@@ -291,7 +291,7 @@ class TestPendingIndex:
         scheduler.attach()
         pool.run_to_completion()
         assert scheduler._unassigned_pending() == []
-        assert scheduler._pending_index == {}
+        assert scheduler._shapes == {}
 
 
 class TestPeriodicRepacking:
