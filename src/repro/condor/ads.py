@@ -65,15 +65,6 @@ class MachineSnapshot:
             1 for d in self.devices if not d.claimed_exclusive and not d.failed
         )
 
-    def best_device_for(self, declared_mb: float) -> Optional[DeviceSnapshot]:
-        """Sharing placement: the device with most free declared memory."""
-        usable = [
-            d for d in self.devices if not d.claimed_exclusive and not d.failed
-        ]
-        if not usable:
-            return None
-        return max(usable, key=lambda d: (d.free_declared_mb, -d.index))
-
     def first_free_device(self) -> Optional[DeviceSnapshot]:
         """Exclusive placement: lowest-index unclaimed device."""
         for device in self.devices:

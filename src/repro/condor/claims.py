@@ -40,6 +40,12 @@ Stale messages — reports from a match the schedd has since abandoned —
 carry an outdated claim token and are rejected; a stale job-started
 additionally triggers a best-effort claim-release so the orphan run is
 reaped early rather than waiting for its lease.
+
+Both agents publish their job events (claim and lease opens, closes,
+renewals and expiries, stale messages) through :meth:`Schedd.publish`
+for the job observer (:mod:`repro.condor.observe`); a claim that never
+activates is an ``unmatch`` with its cause, a lost one the ``fail``
+transition with status ``claim-lost``.
 """
 
 from __future__ import annotations
@@ -57,12 +63,25 @@ from ..net.fabric import (
     startd_endpoint,
 )
 from ..net.profile import NetProfile
-from ..obs import audit as _audit
-from ..obs import metrics as _metrics
-from ..obs import trace as _trace
 from ..sim import Environment
 from .collector import Collector
-from .schedd import IDLE, MATCHED, RUNNING, JobRecord, Schedd, job_tid
+from .schedd import (
+    CLAIM_CLOSE,
+    CLAIM_OPEN,
+    CLAIM_REJECTED,
+    IDLE,
+    LEASE_CLOSE,
+    LEASE_EXPIRY,
+    LEASE_OPEN,
+    LEASE_RENEW,
+    MATCH_TIMEOUT,
+    MATCHED,
+    RUNNING,
+    STALE,
+    JobRecord,
+    Schedd,
+    Transition,
+)
 from .startd import Startd
 
 #: Fabric message kinds, one namespace for the whole daemon protocol.
@@ -120,7 +139,6 @@ class ScheddClaimManager:
         self.fabric = fabric
         self.profile = profile
         self._claims: dict[int, _Claim] = {}
-        self.claims_opened = 0
         self.claims_lost = 0
         self.claims_rejected = 0
         self.match_timeouts = 0
@@ -164,10 +182,7 @@ class ScheddClaimManager:
         record = self.schedd.get(job_id)
         if record.status == MATCHED and record.claim_token == payload["token"]:
             self.claims_rejected += 1
-            registry = _metrics.ACTIVE
-            if registry is not None:
-                registry.counter("net.claims_rejected").inc()
-            self.schedd.unmatch(job_id)
+            self.schedd.unmatch(job_id, cause=CLAIM_REJECTED)
         else:
             self._stale("claim-reject", job_id)
 
@@ -186,10 +201,7 @@ class ScheddClaimManager:
                 last_sent=msg.send_time,
             )
             self._claims[token] = claim
-            self.claims_opened += 1
-            auditor = _audit.ACTIVE
-            if auditor is not None:
-                auditor.claim_opened(job_id, token, self.env.now)
+            self._publish(CLAIM_OPEN, claim)
             self.schedd.mark_running(job_id, payload["node"], payload["device"])
             self.env.process(
                 self._renewal_loop(record, claim), name=f"lease:{job_id}"
@@ -242,22 +254,10 @@ class ScheddClaimManager:
             return
         if record.status == MATCHED and record.claim_token == token:
             self.match_timeouts += 1
-            registry = _metrics.ACTIVE
-            if registry is not None:
-                registry.counter("net.match_timeouts").inc()
-            tracer = _trace.ACTIVE
-            if tracer is not None:
-                tracer.instant(
-                    "match-timeout",
-                    "net",
-                    self.env.now,
-                    tid=job_tid(record),
-                )
-            self.schedd.unmatch(record.job_id)
+            self.schedd.unmatch(record.job_id, cause=MATCH_TIMEOUT)
 
     def _renewal_loop(self, record: JobRecord, claim: _Claim):
         profile = self.profile
-        registry = _metrics.ACTIVE
         # Tolerate one full lease of silence before giving up — the
         # startd-side lease is still live for that long after its last
         # acknowledged renewal, so stopping earlier would waste claims.
@@ -281,8 +281,7 @@ class ScheddClaimManager:
                 {"job_id": claim.job_id, "token": claim.token},
                 on_delivered=_acked,
             )
-            if registry is not None:
-                registry.counter("net.lease_renewals").inc()
+            self._publish(LEASE_RENEW, claim)
         # Stop-then-drain: no renewal will be sent after ``last_sent``,
         # so the startd's lease — extended at most to the send time of a
         # renewal, never its delivery time — expires by
@@ -302,18 +301,6 @@ class ScheddClaimManager:
 
     def _declare_lost(self, record: JobRecord, claim: _Claim) -> None:
         self.claims_lost += 1
-        registry = _metrics.ACTIVE
-        if registry is not None:
-            registry.counter("net.claims_lost").inc()
-        tracer = _trace.ACTIVE
-        if tracer is not None:
-            tracer.instant(
-                "claim-lost",
-                "net",
-                self.env.now,
-                tid=job_tid(record),
-                node=claim.node,
-            )
         self._close_claim(claim)
         lost = JobRunResult(
             job_id=claim.job_id,
@@ -366,9 +353,7 @@ class ScheddClaimManager:
             last_sent=now,
         )
         self._claims[claim.token] = claim
-        auditor = _audit.ACTIVE
-        if auditor is not None:
-            auditor.claim_opened(claim.job_id, claim.token, now)
+        self._publish(CLAIM_OPEN, claim)
         self.env.process(
             self._renewal_loop(record, claim), name=f"lease:{record.job_id}"
         )
@@ -391,15 +376,16 @@ class ScheddClaimManager:
     def _close_claim(self, claim: _Claim) -> None:
         claim.closed = True
         self._claims.pop(claim.token, None)
-        auditor = _audit.ACTIVE
-        if auditor is not None:
-            auditor.claim_closed(claim.job_id, claim.token, self.env.now)
+        self._publish(CLAIM_CLOSE, claim)
+
+    def _publish(self, kind: str, claim: _Claim) -> None:
+        self.schedd.publish(
+            Transition(kind, claim.job_id, self.env.now, token=claim.token)
+        )
 
     def _stale(self, kind: str, job_id: str) -> None:
         self.stale_messages += 1
-        registry = _metrics.ACTIVE
-        if registry is not None:
-            registry.counter("net.stale_messages").inc()
+        self.schedd.publish(Transition(STALE, job_id, self.env.now, cause=kind))
 
     @property
     def open_claims(self) -> int:
@@ -461,11 +447,7 @@ class StartdClaimAgent:
             return
         lease = Lease(job_id=job_id, token=token, expires_at=expires_at)
         self._leases[token] = lease
-        auditor = _audit.ACTIVE
-        if auditor is not None:
-            auditor.lease_opened(
-                self.startd.name, job_id, token, self.env.now
-            )
+        self._publish(LEASE_OPEN, lease)
         self.startd.start_claimed(
             record, payload["device"], payload["exclusive"], lease
         )
@@ -514,11 +496,7 @@ class StartdClaimAgent:
         """Close the lease and send the run's outcome to the schedd."""
         lease.closed = True
         self._leases.pop(lease.token, None)
-        auditor = _audit.ACTIVE
-        if auditor is not None:
-            auditor.lease_closed(
-                self.startd.name, record.job_id, lease.token, self.env.now
-            )
+        self._publish(LEASE_CLOSE, lease)
         self.fabric.send(
             self.endpoint,
             SCHEDD,
@@ -539,22 +517,16 @@ class StartdClaimAgent:
         if lease.closed:
             return
         self.lease_expiries += 1
-        registry = _metrics.ACTIVE
-        if registry is not None:
-            registry.counter("net.lease_expiries").inc()
-        tracer = _trace.ACTIVE
-        if tracer is not None:
-            tracer.instant(
-                "lease-expired",
-                "net",
-                self.env.now,
-                tid=_trace.NET_TID,
-                job=lease.job_id,
-                node=self.startd.name,
-            )
+        self._publish(LEASE_EXPIRY, lease)
         self.startd.interrupt_job(
             lease.job_id, LeaseExpired(lease.job_id, self.startd.name)
         )
+
+    def _publish(self, kind: str, lease: Lease) -> None:
+        tr = Transition(
+            kind, lease.job_id, self.env.now, node=self.startd.name, token=lease.token
+        )
+        self.startd.schedd.publish(tr)
 
     @property
     def open_leases(self) -> int:
@@ -593,14 +565,17 @@ class CollectorAgent:
         interval = self.profile.update_interval_s
         while True:
             yield self.env.timeout(interval)
-            if not startd.alive:
-                continue  # a crashed node's daemon publishes nothing
-            self.fabric.send(
-                startd_endpoint(startd.name),
-                COLLECTOR,
-                MSG_MACHINE_UPDATE,
-                {"snapshot": startd.snapshot()},
-            )
+            self._advertise(startd)
+
+    def _advertise(self, startd: Startd) -> None:
+        if not startd.alive:
+            return  # a crashed node's daemon publishes nothing
+        self.fabric.send(
+            startd_endpoint(startd.name),
+            COLLECTOR,
+            MSG_MACHINE_UPDATE,
+            {"snapshot": startd.snapshot()},
+        )
 
     def force_readvertise(self) -> None:
         """Demand an immediate ad from every live startd.
@@ -611,14 +586,7 @@ class CollectorAgent:
         the periodic publisher), rebuilding the store from live state.
         """
         for startd in self.startds:
-            if not startd.alive:
-                continue
-            self.fabric.send(
-                startd_endpoint(startd.name),
-                COLLECTOR,
-                MSG_MACHINE_UPDATE,
-                {"snapshot": startd.snapshot()},
-            )
+            self._advertise(startd)
 
     def _on_update(self, msg: Message) -> None:
         # The send time is when the node was provably alive — using it

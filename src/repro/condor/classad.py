@@ -138,15 +138,6 @@ class Expr:
     def evaluate(self, ctx: "EvalContext") -> Value:
         raise NotImplementedError
 
-    def external_refs(self) -> set[str]:
-        """Names of attributes this expression reads."""
-        refs: set[str] = set()
-        self._collect_refs(refs)
-        return refs
-
-    def _collect_refs(self, refs: set[str]) -> None:
-        pass
-
 
 class Literal(Expr):
     def __init__(self, value: Value) -> None:
@@ -168,9 +159,6 @@ class AttrRef(Expr):
 
     def evaluate(self, ctx: "EvalContext") -> Value:
         return ctx.lookup(self.name, self.scope)
-
-    def _collect_refs(self, refs: set[str]) -> None:
-        refs.add(self.name.lower())
 
     def __repr__(self) -> str:
         prefix = f"{self.scope}." if self.scope else ""
@@ -197,9 +185,6 @@ class UnaryOp(Expr):
                 return ERROR
             return not value
         raise ClassAdError(f"unknown unary operator {self.op!r}")
-
-    def _collect_refs(self, refs: set[str]) -> None:
-        self.operand._collect_refs(refs)
 
 
 class BinaryOp(Expr):
@@ -305,10 +290,6 @@ class BinaryOp(Expr):
             return lv >= rv
         raise ClassAdError(f"unknown comparison {op!r}")
 
-    def _collect_refs(self, refs: set[str]) -> None:
-        self.left._collect_refs(refs)
-        self.right._collect_refs(refs)
-
 
 class Ternary(Expr):
     def __init__(self, cond: Expr, then: Expr, other: Expr) -> None:
@@ -323,11 +304,6 @@ class Ternary(Expr):
         if not isinstance(cond, bool):
             return ERROR
         return self.then.evaluate(ctx) if cond else self.other.evaluate(ctx)
-
-    def _collect_refs(self, refs: set[str]) -> None:
-        self.cond._collect_refs(refs)
-        self.then._collect_refs(refs)
-        self.other._collect_refs(refs)
 
 
 class FuncCall(Expr):
@@ -346,10 +322,6 @@ class FuncCall(Expr):
             return func(values)
         except ClassAdError:
             return ERROR
-
-    def _collect_refs(self, refs: set[str]) -> None:
-        for arg in self.args:
-            arg._collect_refs(refs)
 
 
 def _meta_equal(left: Value, right: Value) -> bool:

@@ -497,8 +497,3 @@ def cache_info() -> dict[str, int]:
         "plans": len(_PLANS),
     }
 
-
-def clear_caches() -> None:
-    """Drop all compiled closures and plans (tests / memory pressure)."""
-    _CACHE.clear()
-    _PLANS.clear()

@@ -36,7 +36,7 @@ from .ads import MachineSnapshot
 from .classad import Literal, symmetric_match
 from .collector import AMBIGUOUS_NAME, Collector, LiveCycleView
 from .compile import requirements_plan
-from .schedd import COMPLETE, JobRecord, Schedd, Transition, job_tid
+from .schedd import COMPLETE, NEGOTIATED, JobRecord, Schedd, Transition
 
 
 @dataclass
@@ -490,31 +490,18 @@ class Negotiator:
                     # The node died inside the staleness window; skip the
                     # match rather than dispatching into a crash.
                     continue
-                if tracer is not None:
-                    tracer.instant(
-                        "matched",
-                        "negotiator",
-                        self.env.now,
-                        tid=job_tid(record),
-                        node=snapshot.node,
-                        device=device_index,
-                        exclusive=exclusive,
-                    )
+            self.schedd.publish(
+                Transition(
+                    NEGOTIATED, record.job_id, self.env.now, node=snapshot.node,
+                    device=device_index, exclusive=exclusive,
+                )
+            )
+            if self._fabric is None:
                 startd.start_job(record, device_index, exclusive)
             else:
                 # Fabric mode: a match is a *notification* to the schedd
                 # (which activates the claim); whether the node is still
                 # alive is for the claim protocol to discover.
-                if tracer is not None:
-                    tracer.instant(
-                        "matched",
-                        "negotiator",
-                        self.env.now,
-                        tid=job_tid(record),
-                        node=snapshot.node,
-                        device=device_index,
-                        exclusive=exclusive,
-                    )
                 self._send_match(record, snapshot.node, device_index, exclusive)
             stats.matched += 1
         stats.parked = parked

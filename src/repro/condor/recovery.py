@@ -54,8 +54,8 @@ from ..sim import Environment
 from .schedd import (
     BACKOFF,
     CHECKPOINT,
+    JOURNALED,
     MATCHED,
-    RECOVERED,
     RUNNING,
     SNAPSHOT,
     SUBMIT,
@@ -97,8 +97,8 @@ class JobQueueLog:
         return len(self.records)
 
     def log_transition(self, tr: Transition) -> None:
-        """Journal one published transition."""
-        if tr.kind == RECOVERED:
+        """Journal one published queue transition."""
+        if tr.kind not in JOURNALED:
             return
         if tr.kind == SUBMIT:
             self._jobs_seen += 1

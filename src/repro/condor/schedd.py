@@ -13,10 +13,13 @@ the public methods validate, build one, and hand it to
 :meth:`Schedd._apply` — the only code that changes a :class:`JobRecord`
 or the queue counters — then publish it to the subscribers in
 registration order. The write-ahead log (:mod:`repro.condor.recovery`)
-subscribes first, the schedd's own trace/metrics/audit observer next,
+subscribes first, the job observer (:mod:`repro.condor.observe`) next,
 then the knapsack scheduler and the negotiator's reschedule hook. Crash
 recovery replays the journaled transitions through the same ``_apply``,
 without publishing them.
+The negotiator, the startds and the claim agents publish their job
+events on the same stream (:meth:`Schedd.publish`: never applied, never
+journaled), so one subscriber sees a job's whole life.
 """
 
 from __future__ import annotations
@@ -35,9 +38,6 @@ from ..faults.errors import (
     NODE_LOST,
 )
 from ..mpss.runtime import JobRunResult
-from ..obs import audit as _audit
-from ..obs import metrics as _metrics
-from ..obs import trace as _trace
 from ..sim import Environment, Event
 from ..workloads.profiles import JobProfile
 from .ads import job_ad
@@ -65,15 +65,30 @@ RUN = "run"
 COMPLETE = "complete"
 FAIL = "fail"
 REQUEUE = "requeue"
+JOURNALED = frozenset({SUBMIT, QEDIT, MATCH, UNMATCH, RUN, COMPLETE, FAIL, REQUEUE})
 #: Job-less and never journaled: a crash–recovery replay rebuilt the queue.
 RECOVERED = "recovered"
+#: Published only, never applied or journaled: the negotiator's match, the
+#: startd's run (launch, dispatch, execute, exit) and the claim protocol.
+NEGOTIATED = "negotiated"
+LAUNCH = "launch"
+DISPATCH = "dispatch"
+EXECUTE = "execute"
+EXIT = "exit"
+CLAIM_OPEN = "claim-open"
+CLAIM_CLOSE = "claim-close"
+LEASE_RENEW = "lease-renew"
+LEASE_OPEN = "lease-open"
+LEASE_CLOSE = "lease-close"
+LEASE_EXPIRY = "lease-expiry"
+STALE = "stale"
+#: UNMATCH causes, when the claim protocol knows one.
+MATCH_TIMEOUT = "match-timeout"
+CLAIM_REJECTED = "claim-rejected"
 #: Found only in a compacted journal, never published: the header that
 #: restarts the queue counters, and one job's whole record.
 CHECKPOINT = "checkpoint"
 SNAPSHOT = "snapshot"
-
-#: Kinds after which the queue-depth gauge is sampled.
-_DEPTH_KINDS = frozenset({SUBMIT, MATCH, UNMATCH, RUN, REQUEUE})
 
 #: Result statuses that mean the *infrastructure* failed the job. Only
 #: these are retryable — kill-by-container statuses ("memory-limit",
@@ -85,11 +100,6 @@ INFRASTRUCTURE_STATUSES = frozenset(
 
 #: Sort key for FIFO queue listings (precomputed at submission).
 _FIFO_KEY = operator.attrgetter("fifo_key")
-
-
-def job_tid(record: "JobRecord") -> int:
-    """The trace track a job's lifecycle spans land on."""
-    return _trace.JOB_TID_BASE + record.seq
 
 
 @dataclass(frozen=True)
@@ -205,7 +215,8 @@ class JobRecord:
 
 @dataclass(slots=True)
 class Transition:
-    """One job-queue state change, as applied, journaled and published.
+    """One job event: a queue state change, as applied, journaled and
+    published, or a published-only event of the daemons around the queue.
 
     Only the payload its ``kind`` needs is set. The payload is plain
     state — ids, numbers, frozen profiles, run results, detached record
@@ -219,10 +230,13 @@ class Transition:
     kind: str
     job_id: Optional[str]
     time: float
-    #: RUN: where the job runs.
+    #: RUN, NEGOTIATED and the startd kinds: where the job runs. FAIL:
+    #: where it ran. The lease kinds: the startd holding the lease.
     node: Optional[str] = None
     device: Optional[int] = None
-    #: MATCH: the claim token.
+    #: NEGOTIATED, EXECUTE: whether the device is claimed exclusively.
+    exclusive: bool = False
+    #: MATCH and the claim and lease kinds: the claim token.
     token: Optional[int] = None
     #: COMPLETE, FAIL: the run's result.
     result: Optional[JobRunResult] = None
@@ -237,9 +251,17 @@ class Transition:
     profile: Optional[JobProfile] = None
     flags: tuple[bool, bool] = (True, True)
     seq: int = 0
+    #: UNMATCH: why the claim never activated (``"match-timeout"``,
+    #: ``"claim-rejected"``). STALE: the dropped message's kind. EXIT:
+    #: the run's status.
+    cause: Optional[str] = None
     #: SNAPSHOT: the job's detached :class:`JobRecord`. CHECKPOINT: the
-    #: schedd's ``(requeues, terminal_failures)``.
+    #: schedd's ``(requeues, terminal_failures)``. LAUNCH: the node's
+    #: slot count.
     state: Any = None
+
+
+Subscriber = Callable[[Transition], None]
 
 
 def _settle(record: JobRecord) -> None:
@@ -262,10 +284,9 @@ class Schedd:
         #: Idle jobs by id, kept by ``_apply``: what ``pending()`` sorts.
         self._idle_index: dict[str, JobRecord] = {}
         self._seq = 0
+        from .observe import JobObserver
         #: Called with every published transition, in this order.
-        self._subscribers: tuple[Callable[[Transition], None], ...] = (
-            self._observe,
-        )
+        self._subscribers: tuple[Subscriber, ...] = (JobObserver(self),)
         #: Write-ahead job-queue log (:class:`repro.condor.recovery
         #: .JobQueueLog`), which attaches itself; ``None`` (the default)
         #: keeps every code path byte-identical to a WAL-free schedd.
@@ -285,10 +306,8 @@ class Schedd:
         # the record table.
         self._unfinished = 0
 
-    def subscribe(
-        self, fn: Callable[[Transition], None], first: bool = False
-    ) -> None:
-        """Call ``fn`` with every transition, after it has been applied.
+    def subscribe(self, fn: Subscriber, first: bool = False) -> None:
+        """Call ``fn`` with every transition (a queue one once applied).
 
         Subscribers run in registration order. ``first`` puts ``fn``
         ahead of all others — the write-ahead log's place, so that a
@@ -300,10 +319,15 @@ class Schedd:
         else:
             self._subscribers = (*self._subscribers, fn)
 
-    def _emit(self, tr: Transition) -> None:
-        self._apply(tr)
+    def publish(self, tr: Transition) -> None:
+        """Hand ``tr`` to the subscribers without applying it: a daemon's
+        published-only job event, whether or not the schedd is up."""
         for subscriber in self._subscribers:
             subscriber(tr)
+
+    def _emit(self, tr: Transition) -> None:
+        self._apply(tr)
+        self.publish(tr)
 
     # -- submission -------------------------------------------------------
 
@@ -415,12 +439,12 @@ class Schedd:
             raise ValueError(f"job {job_id!r} is {record.status}, not idle")
         self._emit(Transition(MATCH, job_id, self.env.now, token=token))
 
-    def unmatch(self, job_id: str) -> None:
+    def unmatch(self, job_id: str, cause: Optional[str] = None) -> None:
         """MATCHED → IDLE: the claim never activated; re-offer the job."""
         record = self._records[job_id]
         if record.status != MATCHED:
             raise ValueError(f"job {job_id!r} is {record.status}, not matched")
-        self._emit(Transition(UNMATCH, job_id, self.env.now))
+        self._emit(Transition(UNMATCH, job_id, self.env.now, cause=cause))
 
     def mark_running(self, job_id: str, node: str, device: Optional[int]) -> None:
         record = self._records[job_id]
@@ -465,6 +489,7 @@ class Schedd:
                 FAIL,
                 job_id,
                 self.env.now,
+                node=record.matched_node,
                 result=result,
                 retry=retry,
                 requeue_at=requeue_at,
@@ -602,136 +627,6 @@ class Schedd:
             _settle(record)
         else:
             self._unfinished += 1
-
-    # -- observability ------------------------------------------------------
-
-    def _observe(self, tr: Transition) -> None:
-        """The subscriber holding every trace, metrics and audit emission
-        of the job queue."""
-        tracer = _trace.ACTIVE
-        registry = _metrics.ACTIVE
-        auditor = _audit.ACTIVE
-        if tracer is None and registry is None and auditor is None:
-            return
-        kind = tr.kind
-        if kind == QEDIT or kind == RECOVERED:
-            return
-        job_id = tr.job_id
-        now = tr.time
-        record = self._records[job_id]
-        if kind == SUBMIT:
-            if tracer is not None:
-                tid = job_tid(record)
-                tracer.set_thread_name(tid, f"job {job_id}")
-                root = tracer.begin_keyed(
-                    ("job", job_id),
-                    "job",
-                    "schedd",
-                    now,
-                    tid=tid,
-                    job=job_id,
-                    declared_mb=record.profile.declared_memory_mb,
-                    declared_threads=record.profile.declared_threads,
-                )
-                tracer.begin_keyed(
-                    ("queued", job_id),
-                    "queued",
-                    "schedd",
-                    now,
-                    tid=tid,
-                    parent=root,
-                )
-            if registry is not None:
-                registry.counter("schedd.jobs_submitted").inc()
-            if auditor is not None:
-                auditor.job_submitted(job_id)
-        elif kind == RUN:
-            if tracer is not None:
-                span = tracer.end_keyed(
-                    ("queued", job_id), now, node=tr.node, device=tr.device
-                )
-                if registry is not None and span is not None:
-                    registry.histogram("job.queue_wait_s").observe(
-                        span.end - span.start
-                    )
-        elif kind == COMPLETE:
-            result = tr.result
-            if auditor is not None:
-                auditor.job_terminal(job_id, result.status, now)
-            if tracer is not None:
-                tracer.instant(
-                    "completed",
-                    "schedd",
-                    now,
-                    tid=job_tid(record),
-                    status=result.status,
-                )
-                tracer.end_keyed(
-                    ("job", job_id),
-                    now,
-                    status=result.status,
-                    offloads=result.offloads_run,
-                    attempts=record.attempts,
-                )
-            if registry is not None:
-                registry.counter("schedd.jobs_completed").inc()
-                if result.status != "completed":
-                    registry.counter("schedd.jobs_killed").inc()
-                if record.attempts > 0:
-                    registry.counter("schedd.jobs_retried_completed").inc()
-        elif kind == FAIL:
-            status = tr.result.status
-            if tracer is not None:
-                tracer.instant(
-                    "run-failed",
-                    "schedd",
-                    now,
-                    tid=job_tid(record),
-                    status=status,
-                    attempt=record.attempts,
-                    retry=tr.retry,
-                )
-            if registry is not None:
-                registry.counter("schedd.runs_failed").inc()
-            if tr.retry:
-                if tracer is not None:
-                    tracer.begin_keyed(
-                        ("backoff", job_id),
-                        "backoff",
-                        "schedd",
-                        now,
-                        tid=job_tid(record),
-                        parent=tracer.get(("job", job_id)),
-                        attempt=record.attempts,
-                    )
-            else:
-                if auditor is not None:
-                    auditor.job_terminal(job_id, status, now)
-                if tracer is not None:
-                    tracer.end_keyed(
-                        ("job", job_id),
-                        now,
-                        status=status,
-                        attempts=record.attempts,
-                    )
-                if registry is not None:
-                    registry.counter("schedd.jobs_failed_terminal").inc()
-        elif kind == REQUEUE:
-            if tracer is not None:
-                tracer.end_keyed(("backoff", job_id), now)
-                tracer.begin_keyed(
-                    ("queued", job_id),
-                    "queued",
-                    "schedd",
-                    now,
-                    tid=job_tid(record),
-                    parent=tracer.get(("job", job_id)),
-                    attempt=record.attempts,
-                )
-            if registry is not None:
-                registry.counter("schedd.requeues").inc()
-        if registry is not None and kind in _DEPTH_KINDS:
-            registry.gauge("schedd.queue_depth").record(now, len(self._idle_index))
 
     # -- draining -----------------------------------------------------------
 

@@ -13,6 +13,10 @@ starter classifies every death through the ``fault_status`` attribute
 protocol (see :mod:`repro.faults.errors`): an infrastructure failure is
 reported via :meth:`Schedd.mark_failed` (retryable), while
 kill-by-container outcomes keep flowing through ``mark_completed``.
+
+Each run's launch, dispatch, execute and exit events are published
+through :meth:`Schedd.publish` for the job observer
+(:mod:`repro.condor.observe`).
 """
 
 from __future__ import annotations
@@ -21,13 +25,18 @@ from typing import Any, Optional, Protocol
 
 from ..faults.errors import fault_status_of
 from ..mpss.runtime import JobRunResult
-from ..obs import audit as _audit
-from ..obs import metrics as _metrics
-from ..obs import trace as _trace
 from ..sim import Environment, Interrupt
 from ..workloads.profiles import JobProfile
-from .ads import DeviceSnapshot, MachineSnapshot, slot_name
-from .schedd import JobRecord, Schedd, job_tid
+from .ads import DeviceSnapshot, MachineSnapshot
+from .schedd import (
+    DISPATCH,
+    EXECUTE,
+    EXIT,
+    LAUNCH,
+    JobRecord,
+    Schedd,
+    Transition,
+)
 
 
 class NodeExecutor(Protocol):
@@ -104,17 +113,8 @@ class Startd:
         return self.executor.name
 
     @property
-    def ad_name(self) -> str:
-        """The slot name this node advertises (``Name`` in its ad)."""
-        return slot_name(self.name)
-
-    @property
     def free_slots(self) -> int:
         return self.slots - self._busy_slots
-
-    @property
-    def active_jobs(self) -> int:
-        return len(self._active)
 
     def snapshot(self) -> MachineSnapshot:
         """The node's negotiation-time state (collector update)."""
@@ -212,12 +212,11 @@ class Startd:
         if self._busy_slots == self.slots:
             self._notify_watcher()
         self.started_jobs += 1
-        auditor = _audit.ACTIVE
-        if auditor is not None:
-            auditor.slot_claimed(
-                self.name, record.job_id, self.slots, self.env.now
+        self.schedd.publish(
+            Transition(
+                LAUNCH, record.job_id, self.env.now, node=self.name, state=self.slots
             )
-            auditor.run_started(self.name, record.job_id, self.env.now)
+        )
         proc = self.env.process(
             self._starter(record, device_index, exclusive),
             name=f"starter:{record.job_id}@{self.name}",
@@ -273,36 +272,17 @@ class Startd:
         result: Optional[JobRunResult] = None
         failure_status: Optional[str] = None
         job_id = record.job_id
-        tracer = _trace.ACTIVE
-        if tracer is not None:
-            root = tracer.get(("job", job_id))
-            tid = job_tid(record)
-            tracer.begin_keyed(
-                ("dispatch", job_id),
-                "dispatch",
-                "startd",
-                started,
-                tid=tid,
-                parent=root,
-                node=self.name,
-            )
+        self.schedd.publish(Transition(DISPATCH, job_id, started, node=self.name))
         try:
             try:
                 if self.dispatch_latency > 0:
                     yield self.env.timeout(self.dispatch_latency)
-                if tracer is not None:
-                    tracer.end_keyed(("dispatch", job_id), self.env.now)
-                    tracer.begin_keyed(
-                        ("run", job_id),
-                        "run",
-                        "startd",
-                        self.env.now,
-                        tid=job_tid(record),
-                        parent=tracer.get(("job", job_id)),
-                        node=self.name,
-                        device=device_index,
-                        exclusive=exclusive,
+                self.schedd.publish(
+                    Transition(
+                        EXECUTE, job_id, self.env.now, node=self.name,
+                        device=device_index, exclusive=exclusive,
                     )
+                )
                 result = yield from self.executor.execute(
                     record.profile, device_index, exclusive
                 )
@@ -315,30 +295,19 @@ class Startd:
                 if failure_status is None:
                     raise
         finally:
-            self._active.pop(record.job_id, None)
+            self._active.pop(job_id, None)
             self._busy_slots -= 1
             if self._busy_slots == self.slots - 1:
                 self._notify_watcher()
             if exclusive and device_index is not None:
                 self._exclusive_claims.discard(device_index)
-            lease = self._leases.pop(record.job_id, None)
-            auditor = _audit.ACTIVE
-            if auditor is not None:
-                auditor.run_ended(self.name, record.job_id, self.env.now)
-                auditor.slot_released(self.name, record.job_id, self.env.now)
-            if tracer is not None:
-                # Whichever stage the job died in (a fault can land
-                # during the dispatch handshake) is still open: close it.
-                tracer.end_keyed(("dispatch", job_id), self.env.now)
-                status = (
-                    failure_status
-                    if failure_status is not None
-                    else (result.status if result is not None else "completed")
-                )
-                span = tracer.end_keyed(("run", job_id), self.env.now, status=status)
-                registry = _metrics.ACTIVE
-                if registry is not None and span is not None:
-                    registry.histogram("job.run_s").observe(span.end - span.start)
+            lease = self._leases.pop(job_id, None)
+            status = failure_status
+            if status is None:
+                status = result.status if result is not None else "completed"
+            self.schedd.publish(
+                Transition(EXIT, job_id, self.env.now, node=self.name, cause=status)
+            )
         if failure_status is not None:
             failed = JobRunResult(
                 job_id=record.job_id,

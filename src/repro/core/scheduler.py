@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..condor.ads import pin_requirements
+from ..condor.observe import job_tid
 from ..condor.pool import CondorPool
 from ..condor.schedd import (
     COMPLETE,
@@ -39,7 +40,6 @@ from ..condor.schedd import (
     UNMATCH,
     JobRecord,
     Transition,
-    job_tid,
 )
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace

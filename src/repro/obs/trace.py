@@ -24,11 +24,11 @@ Design rules, in order of importance:
    ``end <= parent.end``, property-tested). Chrome's ``trace_event``
    viewer renders the nesting as flame-graph stacks per job track.
 
-Emitters that begin a span in one function and end it in another (the
-schedd begins a job's ``queued`` span at submission; the negotiator's
-match ends it) use the *keyed* helpers, which store open spans in a
-registry under a caller-chosen key — no plumbing of span handles through
-layers that otherwise do not know about each other.
+Spans that begin on one event and end on another (the job observer opens
+a job's ``queued`` span at submission and closes it when the job runs)
+use the *keyed* helpers, which store open spans in a registry under a
+caller-chosen key — the node layers find a job's ``run`` span there
+without any plumbing of span handles between layers.
 
 This module deliberately imports nothing from the rest of the package so
 every layer can import it without cycles.

@@ -33,12 +33,8 @@ from .resources import (
     Container,
     ContainerGet,
     ContainerPut,
-    PriorityResource,
     Request,
     Resource,
-    Store,
-    StoreGet,
-    StorePut,
 )
 
 __all__ = [
@@ -54,13 +50,9 @@ __all__ = [
     "Event",
     "Interrupt",
     "Process",
-    "PriorityResource",
     "Request",
     "profile",
     "Resource",
     "SimulationError",
-    "Store",
-    "StoreGet",
-    "StorePut",
     "Timeout",
 ]

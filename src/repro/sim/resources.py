@@ -1,4 +1,4 @@
-"""Shared-resource primitives: Resource, PriorityResource, Container, Store.
+"""Shared-resource primitives: Resource and Container.
 
 These follow the classic request/release event protocol: ``request()``
 (or ``put``/``get``) returns an event that triggers once the operation has
@@ -8,9 +8,9 @@ been granted; the requesting process simply yields it.
 from __future__ import annotations
 
 import heapq
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from typing import TYPE_CHECKING, Optional
 
-from .events import Event, NORMAL, URGENT
+from .events import Event, URGENT
 
 if TYPE_CHECKING:  # pragma: no cover
     from .core import Environment
@@ -44,15 +44,15 @@ class _BaseResource:
 
     def __init__(self, env: "Environment") -> None:
         self.env = env
-        self._waiters: list[tuple[Any, int, _BaseRequest]] = []
+        self._waiters: list[tuple[int, _BaseRequest]] = []
         self._wseq = 0
 
-    def _push_waiter(self, key: Any, request: _BaseRequest) -> None:
+    def _push_waiter(self, request: _BaseRequest) -> None:
         self._wseq += 1
-        heapq.heappush(self._waiters, (key, self._wseq, request))
+        heapq.heappush(self._waiters, (self._wseq, request))
 
     def _remove_waiter(self, request: _BaseRequest) -> None:
-        for i, (_, _, req) in enumerate(self._waiters):
+        for i, (_, req) in enumerate(self._waiters):
             if req is request:
                 del self._waiters[i]
                 heapq.heapify(self._waiters)
@@ -64,7 +64,7 @@ class _BaseResource:
     def _drain(self) -> None:
         """Grant as many queued requests as current capacity allows."""
         while self._waiters:
-            _, _, request = self._waiters[0]
+            _, request = self._waiters[0]
             if not self._try_grant(request):
                 break
             heapq.heappop(self._waiters)
@@ -109,14 +109,14 @@ class Resource(_BaseResource):
         """Number of ungranted requests waiting."""
         return len(self._waiters)
 
-    def request(self, priority: int = 0) -> Request:
+    def request(self) -> Request:
         """Claim one unit; the returned event triggers when granted."""
         req = Request(self)
         if len(self.users) < self.capacity and not self._waiters:
             self.users.append(req)
             req.succeed(priority=URGENT)
         else:
-            self._push_waiter((priority,), req)
+            self._push_waiter(req)
         return req
 
     def release(self, request: Request) -> None:
@@ -134,19 +134,6 @@ class Resource(_BaseResource):
         self.users.append(request)
         request.succeed(priority=URGENT)
         return True
-
-
-class PriorityResource(Resource):
-    """A :class:`Resource` whose waiters are served by (priority, FIFO)."""
-
-    def request(self, priority: int = 0) -> Request:
-        req = Request(self)
-        if len(self.users) < self.capacity and not self._waiters:
-            self.users.append(req)
-            req.succeed(priority=URGENT)
-        else:
-            self._push_waiter((priority,), req)
-        return req
 
 
 class ContainerPut(_BaseRequest):
@@ -258,127 +245,4 @@ class Container(_BaseResource):
                 break
             heapq.heappop(self._get_waiters)
             self._level -= event.amount
-            event.succeed(priority=URGENT)
-
-
-class StorePut(_BaseRequest):
-    """Pending insertion of ``item`` into a :class:`Store`."""
-
-    __slots__ = ("item",)
-
-    def __init__(self, store: "Store", item: Any) -> None:
-        self.item = item
-        super().__init__(store)
-
-    def __exit__(self, exc_type, exc_value, traceback) -> None:
-        if not self.triggered:
-            self.cancel()
-
-
-class StoreGet(_BaseRequest):
-    """Pending retrieval of an item from a :class:`Store`."""
-
-    __slots__ = ("filter",)
-
-    def __init__(
-        self, store: "Store", filter: Callable[[Any], bool] = lambda item: True
-    ) -> None:
-        self.filter = filter
-        super().__init__(store)
-
-    def __exit__(self, exc_type, exc_value, traceback) -> None:
-        if not self.triggered:
-            self.cancel()
-
-
-class Store(_BaseResource):
-    """A FIFO store of arbitrary items with optional capacity.
-
-    ``get`` accepts a filter predicate, making this double as simpy's
-    FilterStore; unfiltered gets are plain FIFO.
-    """
-
-    def __init__(self, env: "Environment", capacity: float = float("inf")) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        super().__init__(env)
-        self.capacity = capacity
-        self.items: list[Any] = []
-        self._put_waiters: list[tuple[int, StorePut]] = []
-        self._get_waiters: list[tuple[int, StoreGet]] = []
-
-    def put(self, item: Any) -> StorePut:
-        """Insert ``item``; triggers once there is room."""
-        event = StorePut(self, item)
-        if len(self.items) < self.capacity:
-            self.items.append(item)
-            event.succeed(priority=URGENT)
-            self._drain_gets()
-        else:
-            self._wseq += 1
-            heapq.heappush(self._put_waiters, (self._wseq, event))  # type: ignore[misc]
-        return event
-
-    def get(self, filter: Callable[[Any], bool] = lambda item: True) -> StoreGet:
-        """Retrieve the first item matching ``filter``; may block."""
-        event = StoreGet(self, filter)
-        self._wseq += 1
-        heapq.heappush(self._get_waiters, (self._wseq, event))  # type: ignore[misc]
-        self._drain_gets()
-        return event
-
-    def _remove_waiter(self, request: _BaseRequest) -> None:
-        for queue in (self._put_waiters, self._get_waiters):
-            for i, (_, req) in enumerate(queue):
-                if req is request:
-                    del queue[i]
-                    heapq.heapify(queue)
-                    return
-
-    def _drain_gets(self) -> None:
-        # Serve waiting getters in FIFO order; a getter whose filter matches
-        # nothing stays queued without blocking later getters.
-        waiters = self._get_waiters
-        items = self.items
-        while True:
-            # Fast path: serve the earliest waiter straight off the heap.
-            # The common unfiltered-FIFO case never leaves this loop, so
-            # it skips the sorted() walk and linear remove + re-heapify.
-            while waiters and items:
-                _, event = waiters[0]
-                idx = -1
-                for i, item in enumerate(items):
-                    if event.filter(item):
-                        idx = i
-                        break
-                if idx < 0:
-                    break
-                item = items[idx]
-                del items[idx]
-                heapq.heappop(waiters)
-                event.succeed(item, priority=URGENT)
-                self._drain_puts()
-            # Slow path: the head waiter matches nothing, but a later
-            # waiter may still be servable without unblocking the head.
-            made_progress = False
-            for entry in sorted(waiters):
-                _, event = entry
-                for i, item in enumerate(items):
-                    if event.filter(item):
-                        del items[i]
-                        waiters.remove(entry)
-                        heapq.heapify(waiters)
-                        event.succeed(item, priority=URGENT)
-                        self._drain_puts()
-                        made_progress = True
-                        break
-                if made_progress:
-                    break
-            if not made_progress:
-                return
-
-    def _drain_puts(self) -> None:
-        while self._put_waiters and len(self.items) < self.capacity:
-            _, event = heapq.heappop(self._put_waiters)
-            self.items.append(event.item)
             event.succeed(priority=URGENT)

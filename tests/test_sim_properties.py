@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Container, Environment, Resource, Store
+from repro.sim import Container, Environment, Resource
 
 
 @settings(max_examples=40, deadline=None)
@@ -96,30 +96,6 @@ def test_container_conservation(ops):
         env.process(actor(env, op, amount))
     env.run()
     assert tank.level == 25 + granted["put"] - granted["get"]
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.lists(st.integers(min_value=0, max_value=100), min_size=0,
-                max_size=25))
-def test_store_preserves_items(items):
-    """Everything put into a Store comes out exactly once, FIFO."""
-    env = Environment()
-    store = Store(env)
-    received = []
-
-    def producer(env):
-        for item in items:
-            yield store.put(item)
-
-    def consumer(env):
-        for _ in items:
-            value = yield store.get()
-            received.append(value)
-
-    env.process(producer(env))
-    env.process(consumer(env))
-    env.run()
-    assert received == list(items)
 
 
 @settings(max_examples=30, deadline=None)

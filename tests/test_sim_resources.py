@@ -1,8 +1,8 @@
-"""Unit tests for Resource, PriorityResource, Container and Store."""
+"""Unit tests for Resource and Container."""
 
 import pytest
 
-from repro.sim import Container, Environment, PriorityResource, Resource, Store
+from repro.sim import Container, Environment, Resource
 
 
 @pytest.fixture
@@ -116,50 +116,6 @@ class TestResource:
         env.run()
 
 
-class TestPriorityResource:
-    def test_priority_order(self, env):
-        res = PriorityResource(env, capacity=1)
-        log = []
-
-        def holder(env):
-            with res.request() as req:
-                yield req
-                yield env.timeout(5)
-
-        def proc(env, tag, priority, delay):
-            yield env.timeout(delay)
-            with res.request(priority=priority) as req:
-                yield req
-                log.append(tag)
-                yield env.timeout(1)
-
-        env.process(holder(env))
-        env.process(proc(env, "low", 10, 1))
-        env.process(proc(env, "high", 0, 2))
-        env.run()
-        assert log == ["high", "low"]
-
-    def test_equal_priority_is_fifo(self, env):
-        res = PriorityResource(env, capacity=1)
-        log = []
-
-        def holder(env):
-            with res.request() as req:
-                yield req
-                yield env.timeout(5)
-
-        def proc(env, tag):
-            with res.request(priority=1) as req:
-                yield req
-                log.append(tag)
-
-        env.process(holder(env))
-        env.process(proc(env, "a"))
-        env.process(proc(env, "b"))
-        env.run()
-        assert log == ["a", "b"]
-
-
 class TestContainer:
     def test_init_validation(self, env):
         with pytest.raises(ValueError):
@@ -262,102 +218,3 @@ class TestContainer:
         # FIFO: the big request is served first even though the small one
         # could have been satisfied earlier.
         assert log == ["big", "small"]
-
-
-class TestStore:
-    def test_put_get_fifo(self, env):
-        store = Store(env)
-        got = []
-
-        def producer(env):
-            for item in ("x", "y", "z"):
-                yield store.put(item)
-
-        def consumer(env):
-            for _ in range(3):
-                item = yield store.get()
-                got.append(item)
-
-        env.process(producer(env))
-        env.process(consumer(env))
-        env.run()
-        assert got == ["x", "y", "z"]
-
-    def test_get_blocks_when_empty(self, env):
-        store = Store(env)
-        log = []
-
-        def consumer(env):
-            item = yield store.get()
-            log.append((env.now, item))
-
-        def producer(env):
-            yield env.timeout(7)
-            yield store.put("late")
-
-        env.process(consumer(env))
-        env.process(producer(env))
-        env.run()
-        assert log == [(7, "late")]
-
-    def test_capacity_blocks_put(self, env):
-        store = Store(env, capacity=1)
-        log = []
-
-        def producer(env):
-            yield store.put(1)
-            yield store.put(2)
-            log.append(env.now)
-
-        def consumer(env):
-            yield env.timeout(5)
-            yield store.get()
-
-        env.process(producer(env))
-        env.process(consumer(env))
-        env.run()
-        assert log == [5]
-
-    def test_filtered_get(self, env):
-        store = Store(env)
-        got = []
-
-        def producer(env):
-            for item in (1, 2, 3, 4):
-                yield store.put(item)
-
-        def consumer(env):
-            item = yield store.get(lambda x: x % 2 == 0)
-            got.append(item)
-
-        env.process(producer(env))
-        env.process(consumer(env))
-        env.run()
-        assert got == [2]
-        assert store.items == [1, 3, 4]
-
-    def test_unmatched_filter_does_not_block_others(self, env):
-        store = Store(env)
-        got = []
-
-        def never(env):
-            item = yield store.get(lambda x: x == "unicorn")
-            got.append(item)  # pragma: no cover
-
-        def normal(env):
-            item = yield store.get()
-            got.append(item)
-
-        def producer(env):
-            yield env.timeout(1)
-            yield store.put("plain")
-
-        env.process(never(env))
-        env.process(normal(env))
-        env.process(producer(env))
-        env.run(until=10)
-        assert got == ["plain"]
-
-    def test_capacity_must_be_positive(self, env):
-        with pytest.raises(ValueError):
-            Store(env, capacity=0)
