@@ -10,7 +10,7 @@ Public API highlights:
 * :mod:`repro.core` — the paper's knapsack-based cluster scheduler.
 * :mod:`repro.workloads` — Table-I and synthetic job generators.
 * :mod:`repro.cluster` — end-to-end cluster simulation driver.
-* :mod:`repro.metrics` — makespan / utilization / footprint analysis.
+* :mod:`repro.metrics` — post-run analysis, footprint, reports.
 * :mod:`repro.experiments` — regenerates every table and figure.
 """
 

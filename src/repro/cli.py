@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 from .experiments import EXPERIMENTS
 from .experiments.cache import ResultCache
 from .experiments.common import bench_scale, save_result, scaled
-from .experiments.runner import CellOutcome, SimTask, TaskRunner
+from .experiments.runner import CellOutcome, SimTask, TaskRunner, count_summary
 
 #: Paper-scale job counts per experiment (used with --full).
 _FULL_JOBS = {
@@ -175,7 +175,10 @@ def _cell_lines(name: str, outcomes: Sequence[CellOutcome]) -> list[str]:
     """Per-cell timing lines: every cell, or the slowest for big grids."""
 
     def line(outcome: CellOutcome) -> str:
-        timing = "cached" if outcome.cached else f"{outcome.seconds:.2f}s"
+        if outcome.computed:
+            timing = f"{outcome.seconds:.2f}s"
+        else:
+            timing = "cached" if outcome.cached else "duplicate"
         return f"[  {name}/{outcome.task.label}: {timing}]"
 
     if len(outcomes) <= _MAX_CELL_LINES:
@@ -256,8 +259,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--audit", action="store_true",
         help="run the runtime invariant auditor over every cell: each "
         "submitted job gets exactly one terminal outcome, no slot is "
-        "double-claimed, no job runs on two nodes, device memory never "
-        "goes negative, and claim/lease ledgers reconcile at cell end "
+        "double-claimed, no job runs on two nodes, and claim/lease "
+        "ledgers reconcile at cell end "
         "(violations raise; implies --jobs 1 and --no-cache)",
     )
     parser.add_argument(
@@ -460,11 +463,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(text)
         if args.save:
             save_result(name, text)
-        computed = sum(1 for o in cell_outcomes if not o.cached)
         cell_seconds = sum(o.seconds for o in cell_outcomes)
         print(
             f"[{name}: {cell_seconds:.1f}s cell-time, {len(grid)} cells "
-            f"({computed} computed, {len(grid) - computed} cached)]"
+            f"({count_summary(cell_outcomes)})]"
         )
         for line in _cell_lines(name, cell_outcomes):
             print(line)
@@ -472,7 +474,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     print(
         f"[total: {wall:.1f}s wall, {len(outcomes)} cells "
-        f"({runner.computed} computed, {runner.served_from_cache} cached), "
+        f"({count_summary(runner.outcomes)}), "
         f"{runner.workers} worker(s)]"
     )
     if profiler is not None:

@@ -1,8 +1,8 @@
 """Builders for the job and machine ClassAds the integration exchanges.
 
-Mirrors §IV-D1: each compute node learns its Phi configuration through
-``micinfo`` and advertises device count and memory; each job's submit
-file requests a number of Phi devices, memory and threads. The external
+Mirrors §IV-D1: each compute node advertises its Phi device count and
+memory, read from its executor's device states; each job's submit file
+requests a number of Phi devices, memory and threads. The external
 knapsack scheduler later *rewrites* job Requirements to pin the job to
 the node it selected (``Name == "<slot>@<node>"``).
 """

@@ -7,6 +7,7 @@ from typing import Optional, Sequence
 from ..net.fabric import MessageFabric
 from ..net.profile import NetProfile
 from ..sim import Environment
+from ..sim.events import StopSimulation
 from ..workloads.profiles import JobProfile
 from .claims import CollectorAgent, ScheddClaimManager, StartdClaimAgent
 from .collector import Collector
@@ -133,19 +134,27 @@ class CondorPool:
         return sum(agent.claims_rejected for agent in self.agents.values())
 
     def run_to_completion(self, limit: Optional[float] = None) -> float:
-        """Start the pool, run until the queue drains; returns makespan."""
+        """Start the pool, run until the queue drains; returns makespan.
+
+        With ``limit``, a deadline ``limit`` simulated seconds out stops
+        the run if the queue has not drained by then (``TimeoutError``).
+        """
         if self.schedd.total_jobs == 0:
             raise ValueError("no jobs submitted")
         self.start()
         done = self.schedd.all_done()
         if limit is not None:
-            result = self.env.run(until=self.env.any_of([done, self.env.timeout(limit)]))
-            if not done.triggered:
-                raise TimeoutError(
-                    f"pool did not drain within {limit} simulated seconds"
-                )
-        else:
-            self.env.run(until=done)
+
+            def deadline(_event) -> None:
+                if not done.triggered:
+                    raise StopSimulation(None)
+
+            self.env.timeout(limit).callbacks.append(deadline)
+        self.env.run(until=done)
+        if not done.triggered:
+            raise TimeoutError(
+                f"pool did not drain within {limit} simulated seconds"
+            )
         return self.schedd.makespan()
 
     def __repr__(self) -> str:

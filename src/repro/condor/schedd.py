@@ -352,15 +352,6 @@ class Schedd:
         )
         return self._records[profile.job_id]
 
-    def submit_many(
-        self,
-        profiles: list[JobProfile],
-        sharing: bool = True,
-        memory_aware: bool = True,
-    ) -> None:
-        for profile in profiles:
-            self.submit(profile, sharing=sharing, memory_aware=memory_aware)
-
     # -- queue inspection ---------------------------------------------------
 
     def get(self, job_id: str) -> JobRecord:

@@ -558,25 +558,6 @@ class KnapsackClusterScheduler:
         self._mark_all_online_dirty()
         self._schedule_repack()
 
-    def start_periodic(self, interval: float):
-        """Also re-pack on a timer (for dynamic-arrival scenarios).
-
-        Completions already trigger repacking; a periodic pass
-        additionally picks up jobs submitted since the last event. Call
-        after :meth:`attach`; returns the created process.
-        """
-        if interval <= 0:
-            raise ValueError("interval must be positive")
-        if not self._attached:
-            raise RuntimeError("attach the scheduler first")
-
-        def _loop():
-            while True:
-                yield self.env.timeout(interval)
-                self.schedule_pending()
-
-        return self.env.process(_loop(), name="knapsack-periodic")
-
     # -- inspection ------------------------------------------------------------
 
     def committed_mb(self, node: str, device: int = 0) -> float:

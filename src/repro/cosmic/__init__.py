@@ -1,12 +1,9 @@
 """COSMIC: node-level Xeon Phi sharing middleware (reimplementation of [6])."""
 
-from .affinity import AffinityError, CoreSetAllocator
 from .container import DeclaredMemoryEnforcer
 from .middleware import Cosmic, CosmicStats
 
 __all__ = [
-    "AffinityError",
-    "CoreSetAllocator",
     "Cosmic",
     "CosmicStats",
     "DeclaredMemoryEnforcer",

@@ -13,10 +13,9 @@ three behaviours the paper relies on (§IV-D2):
 3. **Memory-limit containers.** Jobs that exceed their own declaration
    are killed (see :mod:`repro.cosmic.container`).
 
-Affinitization (behaviour 3 in the paper's list) is reflected in the
-device's contention model — gated offloads run at full speed on disjoint
-core sets — and is additionally tracked explicitly through a
-:class:`~repro.cosmic.affinity.CoreSetAllocator` for observability.
+Affinitization (behaviour 3 in the paper's list) lives in the device's
+contention model, :class:`~repro.phi.contention.AffinitizedContention`:
+gated offloads run at full speed on disjoint core sets.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from typing import Optional
 from ..obs import metrics as _metrics
 from ..phi.device import XeonPhi
 from ..sim import Container, ContainerGet, Environment
-from .affinity import CoreSetAllocator
 from .container import DeclaredMemoryEnforcer
 
 
@@ -60,7 +58,6 @@ class Cosmic:
         self._thread_pool = Container(env, capacity=threads, init=threads)
         self._memory_pool = Container(env, capacity=memory, init=memory)
         self.enforcer = enforcer if enforcer is not None else DeclaredMemoryEnforcer()
-        self.affinity = CoreSetAllocator(spec.cores, spec.threads_per_core)
         self.stats = CosmicStats()
         self._resident_jobs = 0
 

@@ -89,7 +89,7 @@ def tasks(
             grid.append(
                 SimTask.make(
                     "ext-crash",
-                    "sim-crash",
+                    "sim",
                     label=f"{configuration}@{rate:g}/ks",
                     configuration=configuration,
                     config=config,

@@ -72,7 +72,7 @@ def tasks(
             grid.append(
                 SimTask.make(
                     "ext-faults",
-                    "sim-faults",
+                    "sim",
                     label=f"{configuration}@{rate:g}/ks",
                     configuration=configuration,
                     config=config,

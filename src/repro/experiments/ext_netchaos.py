@@ -86,7 +86,7 @@ def tasks(
             grid.append(
                 SimTask.make(
                     "ext-netchaos",
-                    "sim-net",
+                    "sim",
                     label=f"{configuration}@loss{loss:g}",
                     configuration=configuration,
                     config=config,

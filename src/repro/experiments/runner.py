@@ -23,10 +23,12 @@ Cell kinds
     The shared workhorse: one ``run_configuration`` call described by
     ``configuration`` (MC / MCC / MCCK), a ``config``
     (:class:`~repro.cluster.ClusterConfig`, already resized/tuned) and
-    a ``workload`` spec (see :func:`repro.experiments.common.make_workload`).
-    Because the cache key ignores the experiment name, identical cells
-    are shared across experiments — fig8's 8-node cells are the same
-    entries fig9 computes for its size sweep.
+    a ``workload`` spec (see :func:`repro.experiments.common.make_workload`),
+    plus the optional ``faults``/``fault_seed`` and ``net``/``net_seed``
+    of the chaos extensions. Every cell returns the same dict of result
+    counters. Because the cache key ignores the experiment name,
+    identical cells are shared across experiments — fig8's 8-node cells
+    are the same entries fig9 computes for its size sweep.
 ``run:<experiment>``
     A whole-experiment task for modules that are cheap or exact
     (fig7, ext-oversubscription): the worker calls ``module.run``.
@@ -130,20 +132,14 @@ def _compute_value(task: SimTask) -> Any:
     if task.kind == "sim":
         p = task.kwargs()
         job_set = make_workload(p["workload"])
-        result = run_configuration(p["configuration"], job_set, p["config"])
-        return {
-            "makespan": result.makespan,
-            "utilization": result.mean_core_utilization,
-        }
-    if task.kind == "sim-faults":
-        p = task.kwargs()
-        job_set = make_workload(p["workload"])
         result = run_configuration(
             p["configuration"],
             job_set,
             p["config"],
-            faults=p["faults"],
-            fault_seed=p["fault_seed"],
+            faults=p.get("faults"),
+            fault_seed=p.get("fault_seed", 0),
+            net=p.get("net"),
+            net_seed=p.get("net_seed", 0),
         )
         return {
             "makespan": result.makespan,
@@ -155,56 +151,17 @@ def _compute_value(task: SimTask) -> Any:
             "requeues": result.requeues,
             "retried": result.retried_completed,
             "faults_injected": result.faults_injected,
-        }
-    if task.kind == "sim-crash":
-        p = task.kwargs()
-        job_set = make_workload(p["workload"])
-        result = run_configuration(
-            p["configuration"],
-            job_set,
-            p["config"],
-            faults=p["faults"],
-            fault_seed=p["fault_seed"],
-            net=p["net"],
-            net_seed=p["net_seed"],
-        )
-        return {
-            "makespan": result.makespan,
-            "utilization": result.mean_core_utilization,
-            "jobs": result.job_count,
-            "completed": result.completed_jobs,
-            "failed": result.infra_failed_jobs,
-            "requeues": result.requeues,
-            "retried": result.retried_completed,
-            "crashes": result.daemon_crashes,
-            "recoveries": result.schedd_recoveries,
-            "wal_records": result.wal_records,
-            "wal_replayed": result.wal_replayed,
-            "readopted": result.jobs_readopted,
-        }
-    if task.kind == "sim-net":
-        p = task.kwargs()
-        job_set = make_workload(p["workload"])
-        result = run_configuration(
-            p["configuration"],
-            job_set,
-            p["config"],
-            net=p["net"],
-            net_seed=p["net_seed"],
-        )
-        return {
-            "makespan": result.makespan,
-            "utilization": result.mean_core_utilization,
-            "jobs": result.job_count,
-            "completed": result.completed_jobs,
-            "failed": result.infra_failed_jobs,
-            "requeues": result.requeues,
             "messages": result.net_messages,
             "retransmits": result.net_retransmits,
             "dup_dropped": result.net_duplicates_dropped,
             "lease_expiries": result.lease_expiries,
             "claims_lost": result.claims_lost,
             "match_timeouts": result.match_timeouts,
+            "crashes": result.daemon_crashes,
+            "recoveries": result.schedd_recoveries,
+            "wal_records": result.wal_records,
+            "wal_replayed": result.wal_replayed,
+            "readopted": result.jobs_readopted,
         }
     # Imported lazily: the registry imports the experiment modules,
     # which import this module for SimTask/execute.
@@ -229,7 +186,15 @@ class CellOutcome:
     task: SimTask
     value: Any
     seconds: float
+    #: Served from the result cache.
     cached: bool
+    #: A repeat of an earlier cell in the same grid, served from that
+    #: cell's computation (not from the cache).
+    duplicate: bool = False
+
+    @property
+    def computed(self) -> bool:
+        return not (self.cached or self.duplicate)
 
 
 class TaskRunner:
@@ -290,20 +255,25 @@ class TaskRunner:
         for i, source in duplicates.items():
             original = outcomes[source]
             assert original is not None
-            outcomes[i] = CellOutcome(tasks[i], original.value, 0.0, True)
+            outcomes[i] = CellOutcome(
+                tasks[i], original.value, 0.0, False, duplicate=True
+            )
 
         final = [outcome for outcome in outcomes if outcome is not None]
         assert len(final) == len(tasks)
         self.outcomes.extend(final)
         return final
 
-    @property
-    def computed(self) -> int:
-        return sum(1 for o in self.outcomes if not o.cached)
 
-    @property
-    def served_from_cache(self) -> int:
-        return sum(1 for o in self.outcomes if o.cached)
+def count_summary(outcomes: Sequence[CellOutcome]) -> str:
+    """``N computed, M cached`` (plus ``, K duplicate`` when any)."""
+    computed = sum(1 for o in outcomes if o.computed)
+    cached = sum(1 for o in outcomes if o.cached)
+    text = f"{computed} computed, {cached} cached"
+    duplicates = len(outcomes) - computed - cached
+    if duplicates:
+        text += f", {duplicates} duplicate"
+    return text
 
 
 def execute(tasks: Sequence[SimTask], runner: Optional[TaskRunner] = None) -> list[Any]:

@@ -1,61 +1,38 @@
-"""Metrics: makespan, coprocessor utilization, cluster footprint, reports."""
+"""Metrics: post-run analysis, cluster footprint, replication, reports."""
 
 from .analysis import (
     BalanceStats,
-    INFRA_STATUSES,
-    JobOutcomeStats,
-    KILL_STATUSES,
     OffloadStats,
     QueueStats,
     balance_stats,
-    concurrency_profile,
-    job_outcomes,
     offload_stats,
     queue_stats,
 )
-from .footprint import FootprintResult, find_footprint, footprint_from_curve
-from .replication import Replicated, compare, replicate
-from .makespan import MakespanStats, makespan_of, summarize
-from .timeline import cluster_timeline, device_timeline, legend
+from .footprint import FootprintResult, footprint_from_curve
+from .replication import Replicated, compare
+from .timeline import device_timeline, legend
 from .report import (
     ascii_bar_chart,
-    format_outcome_counts,
     format_series,
     format_table,
     percent_reduction,
 )
-from .utilization import UtilizationSummary, cluster_utilization, mean_busy_cores
 
 __all__ = [
     "BalanceStats",
     "FootprintResult",
-    "INFRA_STATUSES",
-    "JobOutcomeStats",
-    "KILL_STATUSES",
     "OffloadStats",
     "QueueStats",
     "Replicated",
     "balance_stats",
     "compare",
-    "concurrency_profile",
-    "format_outcome_counts",
-    "job_outcomes",
     "offload_stats",
     "queue_stats",
-    "replicate",
-    "MakespanStats",
-    "UtilizationSummary",
     "ascii_bar_chart",
-    "cluster_timeline",
-    "cluster_utilization",
     "device_timeline",
-    "find_footprint",
     "footprint_from_curve",
     "format_series",
     "format_table",
     "legend",
-    "makespan_of",
-    "mean_busy_cores",
     "percent_reduction",
-    "summarize",
 ]

@@ -16,16 +16,6 @@ import numpy as np
 from ..mpss.runtime import JobRunResult
 from ..phi.device import XeonPhi
 
-#: Job statuses meaning "killed by the container" — the job's own fault
-#: (it overran its declaration); rerunning would kill it again.
-KILL_STATUSES = frozenset({"memory-limit", "oom-killed"})
-#: Job statuses meaning "the infrastructure failed the job" — the retry
-#: path handles these; a terminal one means retries were exhausted.
-INFRA_STATUSES = frozenset(
-    {"device-failed", "node-lost", "job-crashed", "infrastructure"}
-)
-
-
 @dataclass(frozen=True)
 class OffloadStats:
     """Aggregate offload behaviour on one device."""
@@ -59,56 +49,6 @@ def offload_stats(device: XeonPhi) -> OffloadStats:
         mean_slowdown=float(np.mean(slowdowns)) if slowdowns else 1.0,
         max_slowdown=float(np.max(slowdowns)) if slowdowns else 1.0,
         killed=sum(1 for r in records if not r.completed),
-    )
-
-
-@dataclass(frozen=True)
-class JobOutcomeStats:
-    """Where every job ended up, with kills and failures kept apart.
-
-    Earlier analyses lumped everything non-completed under "killed",
-    which conflated container kills (the job overran its declaration)
-    with infrastructure failures (a device or node died under it). The
-    distinction matters: kills indict the workload, failures indict the
-    cluster — and only failures are retried.
-    """
-
-    jobs: int
-    completed: int
-    #: Killed by the container (memory-limit / OOM): never retried.
-    killed: int
-    #: Terminally failed by the infrastructure: retries exhausted.
-    failed: int
-    #: Completed, but only after at least one failed attempt.
-    retried_completed: int
-    #: (status, count) for every status seen, most frequent first.
-    by_status: tuple[tuple[str, int], ...]
-
-    @property
-    def accounted(self) -> bool:
-        """Every job is exactly one of completed / killed / failed."""
-        return self.completed + self.killed + self.failed == self.jobs
-
-
-def job_outcomes(results: Sequence[JobRunResult]) -> JobOutcomeStats:
-    """Classify final job results into completed / killed / failed."""
-    counts: dict[str, int] = {}
-    for result in results:
-        counts[result.status] = counts.get(result.status, 0) + 1
-    completed = counts.get("completed", 0)
-    killed = sum(n for s, n in counts.items() if s in KILL_STATUSES)
-    failed = len(results) - completed - killed
-    retried = sum(1 for r in results if r.completed and r.attempt > 0)
-    by_status = tuple(
-        sorted(counts.items(), key=lambda item: (-item[1], item[0]))
-    )
-    return JobOutcomeStats(
-        jobs=len(results),
-        completed=completed,
-        killed=killed,
-        failed=failed,
-        retried_completed=retried,
-        by_status=by_status,
     )
 
 
@@ -174,24 +114,3 @@ def balance_stats(devices: Sequence[XeonPhi]) -> BalanceStats:
         work_per_device=tuple(work),
     )
 
-
-def concurrency_profile(device: XeonPhi, start: float, end: float,
-                        buckets: int = 20) -> list[float]:
-    """Mean busy-thread fraction per time bucket (feeds histograms).
-
-    Each bucket mean bisects to its first overlapping telemetry segment
-    and walks only the segments inside the bucket, so profiling costs
-    O(buckets · log n + n) overall rather than the O(buckets · n) a
-    linear scan per bucket would — long traces can be bucketed finely.
-    """
-    if end <= start:
-        raise ValueError("end must be after start")
-    if buckets <= 0:
-        raise ValueError("buckets must be positive")
-    budget = device.spec.hardware_threads
-    step = (end - start) / buckets
-    series = device.telemetry.busy_threads
-    return [
-        series.mean(start + i * step, start + (i + 1) * step) / budget
-        for i in range(buckets)
-    ]

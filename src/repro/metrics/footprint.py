@@ -3,14 +3,15 @@
 Table II / Table III of the paper report, for each sharing configuration,
 "the cluster size required to achieve the same makespan as the baseline
 (MC) on an 8-node cluster". Because makespan decreases monotonically (in
-expectation) with cluster size, a linear scan from 1 node upward finds
-the minimum; the paper reports integer node counts the same way.
+expectation) with cluster size, the smallest size on the measured curve
+that meets the target is the footprint; the paper reports integer node
+counts the same way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -32,37 +33,6 @@ class FootprintResult:
         return 1.0 - self.cluster_size / reference_size
 
 
-def find_footprint(
-    run_at_size: Callable[[int], float],
-    target_makespan: float,
-    max_size: int,
-    min_size: int = 1,
-) -> FootprintResult:
-    """Smallest ``size`` in [min_size, max_size] whose makespan meets target.
-
-    Parameters
-    ----------
-    run_at_size:
-        Callable running the workload on a cluster of the given size and
-        returning its makespan (simulated seconds).
-    target_makespan:
-        The makespan to match or beat (the MC baseline's).
-    max_size:
-        Upper bound on cluster size (the paper's reference size, 8).
-    """
-    if target_makespan <= 0:
-        raise ValueError("target_makespan must be positive")
-    if min_size < 1 or max_size < min_size:
-        raise ValueError("need 1 <= min_size <= max_size")
-    makespans: dict[int, float] = {}
-    for size in range(min_size, max_size + 1):
-        makespan = run_at_size(size)
-        makespans[size] = makespan
-        if makespan <= target_makespan:
-            break
-    return footprint_from_curve(target_makespan, makespans)
-
-
 def footprint_from_curve(
     target_makespan: float, makespans: dict[int, float]
 ) -> FootprintResult:
@@ -70,9 +40,7 @@ def footprint_from_curve(
 
     The parallel harness computes every size of the sweep as an
     independent cell, so the search reduces to scanning the finished
-    curve: the smallest size whose makespan meets the target. Produces
-    the same ``cluster_size`` as the incremental scan in
-    :func:`find_footprint`.
+    curve: the smallest size whose makespan meets the target.
     """
     if target_makespan <= 0:
         raise ValueError("target_makespan must be positive")

@@ -1,16 +1,15 @@
 """Replication statistics: mean / spread / confidence over seeds.
 
 The paper reports single-run numbers; for a simulator it is cheap to do
-better. These helpers rerun an experiment across seeds and summarize the
-distribution of any scalar metric, so benches and users can distinguish
-real effects from workload-draw noise.
+better. These helpers summarize the distribution of a scalar metric
+measured across seeds, so benches and users can distinguish real effects
+from workload-draw noise.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -70,16 +69,6 @@ class Replicated:
     def __str__(self) -> str:
         lo, hi = self.ci95
         return f"{self.mean:.1f} ± {hi - self.mean:.1f} (n={self.n})"
-
-
-def replicate(
-    metric: Callable[[int], float],
-    seeds: Sequence[int],
-) -> Replicated:
-    """Evaluate ``metric(seed)`` for every seed and summarize."""
-    if not seeds:
-        raise ValueError("need at least one seed")
-    return Replicated(values=tuple(float(metric(seed)) for seed in seeds))
 
 
 def compare(

@@ -57,27 +57,6 @@ def format_series(
     return format_table(headers, rows, title=title)
 
 
-def format_outcome_counts(stats) -> str:
-    """One line of job-outcome accounting for run summaries.
-
-    Keeps container kills and infrastructure failures visibly separate
-    (see :class:`~repro.metrics.analysis.JobOutcomeStats`), and flags
-    any retried-then-completed jobs so chaos runs show their recoveries.
-    """
-    parts = [
-        f"jobs={stats.jobs}",
-        f"completed={stats.completed}",
-        f"killed={stats.killed}",
-        f"failed={stats.failed}",
-    ]
-    if stats.retried_completed:
-        parts.append(f"retried-ok={stats.retried_completed}")
-    line = " ".join(parts)
-    if not stats.accounted:
-        line += " (UNACCOUNTED)"
-    return line
-
-
 def percent_reduction(baseline: float, value: float) -> float:
     """The paper's 'reduction compared to MC' percentage."""
     if baseline <= 0:

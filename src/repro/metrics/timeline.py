@@ -7,8 +7,6 @@ host gaps, overlap under sharing — is visible straight from a terminal.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from ..phi.device import XeonPhi
 
 #: Glyph ramp from idle to fully busy.
@@ -38,23 +36,6 @@ def device_timeline(
         hi = lo + step
         row.append(_glyph(series.mean(lo, hi) / budget))
     return "".join(row)
-
-
-def cluster_timeline(
-    devices: Sequence[XeonPhi], start: float, end: float, width: int = 80
-) -> str:
-    """One labelled row per device plus a time axis."""
-    label_w = max((len(d.name) for d in devices), default=0)
-    lines = [
-        f"{device.name.ljust(label_w)} |{device_timeline(device, start, end, width)}|"
-        for device in devices
-    ]
-    axis = f"{'':{label_w}} +{'-' * width}+"
-    scale = (
-        f"{'':{label_w}}  t={start:.0f}s"
-        f"{'':{max(0, width - 16)}}t={end:.0f}s"
-    )
-    return "\n".join([axis, *lines, axis, scale])
 
 
 def legend() -> str:

@@ -78,20 +78,6 @@ class FabricStats:
     down_drops: int = 0
     acks_lost: int = 0
 
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "messages_sent": self.messages_sent,
-            "attempts": self.attempts,
-            "delivered": self.delivered,
-            "retransmits": self.retransmits,
-            "losses": self.losses,
-            "duplicates_sent": self.duplicates_sent,
-            "duplicates_dropped": self.duplicates_dropped,
-            "partition_drops": self.partition_drops,
-            "down_drops": self.down_drops,
-            "acks_lost": self.acks_lost,
-        }
-
 
 class _Link:
     """Directed-link state: sender sequence counter + receiver window."""

@@ -9,15 +9,14 @@ regardless of network weather:
 * no slot population exceeds the node's slot count, and no job holds
   two claims at once;
 * no job runs on two nodes simultaneously;
-* device memory accounting never goes negative (no over-free);
 * lease and claim ledgers reconcile (every open has a close) by the
   end of the cell.
 
 Zero-cost-when-disabled, same pattern as :mod:`repro.sim.profile` and
-:mod:`repro.obs.trace`: emission sites across the condor/phi layers pay
-one ``ACTIVE is not None`` check when auditing is off. A violation
-raises :class:`AuditViolation` immediately, carrying the cell label,
-simulation time, and the ledger context that was contradicted.
+:mod:`repro.obs.trace`: emission sites in the condor layer pay one
+``ACTIVE is not None`` check when auditing is off. A violation raises
+:class:`AuditViolation` immediately, carrying the cell label, simulation
+time, and the ledger context that was contradicted.
 
 Like the tracer, this module imports nothing from the rest of the
 package — emission sites pass primitives — so it can be imported from
@@ -198,18 +197,6 @@ class Auditor:
                 "slot-double-release",
                 f"{node!r} released more claims than it opened "
                 f"(job {job_id!r})",
-                now,
-            )
-
-    # -- device memory ----------------------------------------------------
-
-    def device_memory(self, device: str, free_mb: float, now: float) -> None:
-        self.checks += 1
-        if free_mb < -1e-6:
-            self._violate(
-                "negative-device-memory",
-                f"device {device!r} accounting went negative: "
-                f"{free_mb:.1f} MB free",
                 now,
             )
 

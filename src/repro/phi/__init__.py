@@ -15,7 +15,6 @@ from .contention import (
     slowdown,
 )
 from .device import DEVICE_STATES, DeviceFailed, OffloadRecord, OOMKilled, XeonPhi
-from .micinfo import MicInfo, format_report, query_device, query_node
 from .spec import PAPER_SPEC, XeonPhiSpec
 from .telemetry import DeviceTelemetry, StepSeries
 
@@ -26,7 +25,6 @@ __all__ = [
     "DEVICE_STATES",
     "DeviceFailed",
     "DeviceTelemetry",
-    "MicInfo",
     "OffloadRecord",
     "OOMKilled",
     "PAPER_SPEC",
@@ -34,8 +32,5 @@ __all__ = [
     "UnmanagedContention",
     "XeonPhi",
     "XeonPhiSpec",
-    "format_report",
-    "query_device",
-    "query_node",
     "slowdown",
 ]

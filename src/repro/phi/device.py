@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, Optional
 
-from ..obs import audit as _audit
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
 from ..sim import Environment, Interrupt
@@ -271,22 +270,6 @@ class XeonPhi:
         self._resident[owner] = mb
         self._record_memory()
         self._oom_killer()
-
-    def free(self, owner: Hashable, mb: float) -> None:
-        """Shrink ``owner``'s resident memory by ``mb`` MiB."""
-        if mb < 0:
-            raise ValueError("mb must be non-negative")
-        if owner not in self._resident:
-            raise KeyError(f"process {owner!r} is not registered")
-        auditor = _audit.ACTIVE
-        if auditor is not None:
-            # The clamp below hides over-frees; the auditor sees the raw
-            # ledger value so double-frees surface instead of vanishing.
-            auditor.device_memory(
-                self.name, self._resident[owner] - mb, self.env.now
-            )
-        self._resident[owner] = max(0.0, self._resident[owner] - mb)
-        self._record_memory()
 
     def _oom_killer(self) -> None:
         capacity = self.spec.usable_memory_mb

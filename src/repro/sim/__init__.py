@@ -19,10 +19,6 @@ It follows the familiar generator-based process model::
 from . import profile
 from .core import EmptySchedule, Environment
 from .events import (
-    AllOf,
-    AnyOf,
-    Condition,
-    ConditionValue,
     Event,
     Interrupt,
     SimulationError,
@@ -38,10 +34,6 @@ from .resources import (
 )
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
-    "Condition",
-    "ConditionValue",
     "Container",
     "ContainerGet",
     "ContainerPut",

@@ -10,8 +10,6 @@ from . import profile as _profile
 from .events import (
     NORMAL,
     PENDING,
-    AllOf,
-    AnyOf,
     Event,
     SimulationError,
     StopSimulation,
@@ -24,7 +22,8 @@ _POOL_LIMIT = 256
 
 
 class EmptySchedule(Exception):
-    """Raised by :meth:`Environment.step` when no events remain."""
+    """Raised by the run loop when no events remain (:meth:`Environment.run`
+    catches it)."""
 
 
 class Environment:
@@ -92,15 +91,7 @@ class Environment:
         """Start a new process driving ``generator``."""
         return Process(self, generator, name=name)
 
-    def all_of(self, events) -> AllOf:
-        """Event that triggers when all ``events`` have triggered."""
-        return AllOf(self, events)
-
-    def any_of(self, events) -> AnyOf:
-        """Event that triggers when any of ``events`` has triggered."""
-        return AnyOf(self, events)
-
-    # -- scheduling and stepping ------------------------------------------
+    # -- scheduling and running -------------------------------------------
 
     def schedule(
         self, event: Event, priority: int = NORMAL, delay: float = 0.0
@@ -113,41 +104,13 @@ class Environment:
         if self._profiler is not None:
             self._profiler.count_scheduled(type(event).__name__)
 
-    def step(self) -> None:
-        """Process the next scheduled event.
-
-        Raises
-        ------
-        EmptySchedule
-            When the event queue is empty.
-        """
-        try:
-            self._now, _, _, event = heappop(self._queue)
-        except IndexError:
-            raise EmptySchedule() from None
-
-        callbacks = event.callbacks
-        event.callbacks = None
-        assert callbacks is not None
-        for callback in callbacks:
-            callback(event)
-
-        if not event._ok and not event._defused:
-            # Nobody handled the failure: surface it to the caller of run().
-            exc = event._value
-            assert isinstance(exc, BaseException)
-            raise exc
-
-        del callbacks[:]
-        if len(self._cb_pool) < _POOL_LIMIT:
-            self._cb_pool.append(callbacks)
-
     def _loop(self) -> None:
-        """The hot run loop: :meth:`step` inlined with hoisted lookups.
+        """The hot run loop: process events until the queue empties.
 
-        Semantically identical to ``while True: self.step()`` — the
-        inlining only removes per-event method-call and attribute-lookup
-        overhead (the queue/pool bindings are loop-invariant).
+        Each iteration pops the next event, advances the clock, runs its
+        callbacks, re-raises an unhandled failure, and recycles the
+        emptied callback list. The queue/pool bindings are hoisted out
+        of the loop because they are loop-invariant.
         """
         queue = self._queue
         pool = self._cb_pool

@@ -18,7 +18,7 @@ are processed in (priority, insertion-order) order.
 from __future__ import annotations
 
 from heapq import heappush
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from .core import Environment
@@ -146,14 +146,6 @@ class Event:
             event._defused = True
             self.fail(event._value)
 
-    # -- composition -----------------------------------------------------
-
-    def __and__(self, other: "Event") -> "Condition":
-        return Condition(self.env, Condition.all_events, [self, other])
-
-    def __or__(self, other: "Event") -> "Condition":
-        return Condition(self.env, Condition.any_events, [self, other])
-
     def __repr__(self) -> str:
         state = (
             "processed"
@@ -191,121 +183,6 @@ class Timeout(Event):
 
     def __repr__(self) -> str:
         return f"<Timeout delay={self.delay!r} at {id(self):#x}>"
-
-
-class ConditionValue:
-    """Ordered mapping of events to values for triggered conditions."""
-
-    def __init__(self) -> None:
-        self.events: list[Event] = []
-
-    def __getitem__(self, key: Event) -> Any:
-        if key not in self.events:
-            raise KeyError(repr(key))
-        return key.value
-
-    def __contains__(self, key: Event) -> bool:
-        return key in self.events
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, ConditionValue):
-            return self.todict() == other.todict()
-        if isinstance(other, dict):
-            return self.todict() == other
-        return NotImplemented
-
-    def __iter__(self):
-        return iter(self.events)
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def todict(self) -> dict[Event, Any]:
-        """Return a plain dict of event -> value."""
-        return {event: event.value for event in self.events}
-
-    def __repr__(self) -> str:
-        return f"<ConditionValue {self.todict()!r}>"
-
-
-class Condition(Event):
-    """Waits for a boolean combination of other events (``&`` / ``|``)."""
-
-    __slots__ = ("_evaluate", "_events", "_count")
-
-    def __init__(
-        self,
-        env: "Environment",
-        evaluate: Callable[[list[Event], int], bool],
-        events: Iterable[Event],
-    ) -> None:
-        super().__init__(env)
-        self._evaluate = evaluate
-        self._events = list(events)
-        self._count = 0
-
-        for event in self._events:
-            if event.env is not env:
-                raise ValueError("events belong to different environments")
-
-        # Check for already-processed events first (their callbacks are gone).
-        for event in self._events:
-            if event.callbacks is None:
-                self._check(event)
-            else:
-                event.callbacks.append(self._check)
-
-        # Immediately trigger the condition when it has no sub-events.
-        if self._evaluate(self._events, self._count) and self._value is PENDING:
-            self.succeed(ConditionValue())
-
-    def _populate_value(self, value: ConditionValue) -> None:
-        for event in self._events:
-            if isinstance(event, Condition):
-                event._populate_value(value)
-            elif event.callbacks is None:
-                # Processed (not merely triggered): Timeouts are born
-                # triggered, but only count once they have actually fired.
-                value.events.append(event)
-
-    def _build_value(self) -> ConditionValue:
-        value = ConditionValue()
-        self._populate_value(value)
-        return value
-
-    def _check(self, event: Event) -> None:
-        if self._value is not PENDING:
-            return
-        self._count += 1
-        if not event._ok:
-            event._defused = True
-            self.fail(event._value)
-        elif self._evaluate(self._events, self._count):
-            self.succeed(self._build_value())
-
-    @staticmethod
-    def all_events(events: list[Event], count: int) -> bool:
-        """True when *all* sub-events have triggered."""
-        return len(events) == count
-
-    @staticmethod
-    def any_events(events: list[Event], count: int) -> bool:
-        """True when *any* sub-event has triggered (or there are none)."""
-        return count > 0 or not events
-
-
-class AllOf(Condition):
-    """Condition that triggers once every event in ``events`` has."""
-
-    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
-        super().__init__(env, Condition.all_events, events)
-
-
-class AnyOf(Condition):
-    """Condition that triggers as soon as one event in ``events`` has."""
-
-    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
-        super().__init__(env, Condition.any_events, events)
 
 
 class Initialize(Event):

@@ -128,14 +128,6 @@ class JobProfile:
         return max((p.threads for p in self.offloads()), default=0)
 
     @property
-    def offload_duty_cycle(self) -> float:
-        """Fraction of nominal duration spent offloaded."""
-        nominal = self.nominal_duration
-        if nominal == 0:
-            return 0.0
-        return self.total_offload_work / nominal
-
-    @property
     def honest(self) -> bool:
         """True when declarations cover the job's actual peak demands.
 

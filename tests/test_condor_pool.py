@@ -246,6 +246,23 @@ class TestPoolValidation:
         with pytest.raises(TimeoutError):
             pool.run_to_completion(limit=10.0)
 
+    def test_run_with_limit_stops_at_drain(self):
+        def run(limit):
+            env = Environment()
+            pool = build_pool(env, ExclusivePlacement(), mode="exclusive",
+                              cycle_interval=1.0)
+            pool.submit([make_profile(f"j{i}", work=10) for i in range(4)])
+            return env, pool.run_to_completion(limit=limit)
+
+        _, unlimited = run(None)
+        env, limited = run(10_000.0)
+        assert limited == unlimited
+        # The run ends when the queue drains, not at the deadline.
+        assert env.now == limited
+        # The deadline still queued is inert once the queue has drained.
+        env.run(until=20_000.0)
+        assert env.now == 20_000.0
+
     def test_negotiator_restart_rejected(self, env):
         pool = build_pool(env, ExclusivePlacement(), mode="exclusive")
         pool.submit([make_profile("a", memory=500)])

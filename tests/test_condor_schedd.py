@@ -64,14 +64,10 @@ class TestSubmission:
         schedd.submit(make_profile("c", submit_time=0.0))
         assert [r.job_id for r in schedd.pending()] == ["a", "c", "b"]
 
-    def test_submit_many(self, schedd):
-        schedd.submit_many([make_profile(f"j{i}") for i in range(5)])
-        assert schedd.total_jobs == 5
-
     def test_submit_listeners_fire_on_submission(self, schedd):
         seen = subscribed(schedd, SUBMIT)
-        schedd.submit(make_profile("a"))
-        schedd.submit_many([make_profile("b"), make_profile("c")])
+        for job_id in ("a", "b", "c"):
+            schedd.submit(make_profile(job_id))
         assert [tr.job_id for tr in seen] == ["a", "b", "c"]
 
     def test_submit_listener_may_qedit_new_job(self, schedd):

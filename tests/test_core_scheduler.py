@@ -293,35 +293,3 @@ class TestPendingIndex:
         assert scheduler._unassigned_pending() == []
         assert scheduler._shapes == {}
 
-
-class TestPeriodicRepacking:
-    def test_periodic_pass_picks_up_new_jobs(self, env):
-        pool = build(env, nodes=1)
-        pool.submit([make_profile("first", memory=1000, work=30, host=0)])
-        scheduler = KnapsackClusterScheduler(pool)
-        scheduler.attach()
-        scheduler.start_periodic(interval=2.0)
-
-        def late(env):
-            yield env.timeout(5)
-            pool.submit([make_profile("late", memory=1000, work=2, host=0)])
-            # No manual schedule_pending(): the periodic pass must find it.
-
-        env.process(late(env))
-        pool.run_to_completion()
-        assert pool.schedd.get("late").status == "Completed"
-
-    def test_periodic_requires_attach(self, env):
-        pool = build(env, nodes=1)
-        pool.submit([make_profile("a")])
-        scheduler = KnapsackClusterScheduler(pool)
-        with pytest.raises(RuntimeError):
-            scheduler.start_periodic(5.0)
-
-    def test_invalid_interval(self, env):
-        pool = build(env, nodes=1)
-        pool.submit([make_profile("a")])
-        scheduler = KnapsackClusterScheduler(pool)
-        scheduler.attach()
-        with pytest.raises(ValueError):
-            scheduler.start_periodic(0)

@@ -1,10 +1,8 @@
-"""Unit tests for the COSMIC middleware: admission, gating, affinity."""
+"""Unit tests for the COSMIC middleware: admission, gating, containers."""
 
 import pytest
 
 from repro.cosmic import (
-    AffinityError,
-    CoreSetAllocator,
     Cosmic,
     DeclaredMemoryEnforcer,
 )
@@ -143,50 +141,6 @@ class TestOffloadGate:
 
     def test_repr(self, cosmic):
         assert "free_threads=240" in repr(cosmic)
-
-
-class TestCoreSetAllocator:
-    def test_disjoint_assignments(self):
-        alloc = CoreSetAllocator()
-        a = alloc.assign("a", 120)  # 30 cores
-        b = alloc.assign("b", 120)  # 30 cores
-        assert len(a) == 30 and len(b) == 30
-        assert not set(a) & set(b)
-        assert alloc.free_cores == 0
-        assert alloc.verify_disjoint()
-
-    def test_release_recycles_cores(self):
-        alloc = CoreSetAllocator()
-        alloc.assign("a", 240)
-        alloc.release("a")
-        assert alloc.free_cores == 60
-        assert alloc.assignment_of("a") == ()
-
-    def test_over_allocation_raises(self):
-        alloc = CoreSetAllocator()
-        alloc.assign("a", 200)  # 50 cores
-        with pytest.raises(AffinityError):
-            alloc.assign("b", 60)  # needs 15, only 10 free
-
-    def test_double_assignment_raises(self):
-        alloc = CoreSetAllocator()
-        alloc.assign("a", 4)
-        with pytest.raises(AffinityError):
-            alloc.assign("a", 4)
-
-    def test_release_unknown_owner_is_noop(self):
-        CoreSetAllocator().release("ghost")
-
-    def test_cores_needed_rounds_up(self):
-        alloc = CoreSetAllocator(threads_per_core=4)
-        assert alloc.cores_needed(1) == 1
-        assert alloc.cores_needed(5) == 2
-        with pytest.raises(ValueError):
-            alloc.cores_needed(0)
-
-    def test_invalid_construction(self):
-        with pytest.raises(ValueError):
-            CoreSetAllocator(cores=0)
 
 
 class TestEnforcer:

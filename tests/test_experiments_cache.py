@@ -12,7 +12,13 @@ from repro.experiments.cache import (
     source_fingerprint,
     task_key,
 )
-from repro.experiments.runner import SimTask, TaskRunner, compute_task, sim_task
+from repro.experiments.runner import (
+    SimTask,
+    TaskRunner,
+    compute_task,
+    count_summary,
+    sim_task,
+)
 
 
 def _task(**overrides):
@@ -132,9 +138,19 @@ class TestTaskRunner:
         grid = self._grid() + self._grid()
         runner = TaskRunner(workers=1, cache=None)
         outcomes = runner.map_tasks(grid)
-        assert sum(1 for o in outcomes if not o.cached) == 2
+        assert sum(1 for o in outcomes if o.computed) == 2
         assert outcomes[0].value == outcomes[2].value
         assert outcomes[1].value == outcomes[3].value
+
+    def test_duplicates_are_not_cache_hits(self):
+        task = self._grid()[0]
+        runner = TaskRunner(workers=1, cache=None)
+        first, repeat = runner.map_tasks([task, task])
+        assert first.computed and not first.cached
+        assert repeat.duplicate and not repeat.cached
+        assert count_summary(runner.outcomes) == (
+            "1 computed, 0 cached, 1 duplicate"
+        )
 
     def test_inline_matches_runner(self, tmp_path):
         grid = self._grid()

@@ -22,7 +22,7 @@ class TestGrid:
     def test_tasks_shape(self):
         grid = ext_crash.tasks(jobs=20, rates=RATES, config=SMALL, seed=7)
         assert len(grid) == len(RATES) * 3  # MC, MCC, MCCK per rate
-        assert all(t.kind == "sim-crash" for t in grid)
+        assert all(t.kind == "sim" for t in grid)
         assert all(t.experiment == "ext-crash" for t in grid)
         labels = [t.label for t in grid]
         assert "MC@0/ks" in labels and "MCCK@4/ks" in labels
@@ -120,7 +120,7 @@ class TestDeterminism:
 class TestCacheKeys:
     def _task(self, faults, net):
         return SimTask.make(
-            "ext-crash", "sim-crash",
+            "ext-crash", "sim",
             configuration="MCC", config=SMALL,
             workload=("table1", 20, 7),
             faults=faults, fault_seed=derive_fault_seed(7),

@@ -21,7 +21,7 @@ class TestGrid:
     def test_tasks_shape(self):
         grid = ext_faults.tasks(jobs=30, rates=RATES, config=SMALL, seed=7)
         assert len(grid) == len(RATES) * 3  # MC, MCC, MCCK per rate
-        assert all(t.kind == "sim-faults" for t in grid)
+        assert all(t.kind == "sim" for t in grid)
         assert all(t.experiment == "ext-faults" for t in grid)
 
     def test_rate_zero_cells_carry_no_profile(self):
@@ -73,7 +73,7 @@ class TestDeterminism:
 class TestCacheKeys:
     def _task(self, faults):
         return SimTask.make(
-            "ext-faults", "sim-faults",
+            "ext-faults", "sim",
             configuration="MCC", config=SMALL,
             workload=("table1", 30, 7),
             faults=faults, fault_seed=derive_fault_seed(7),

@@ -22,7 +22,7 @@ class TestGrid:
     def test_tasks_shape(self):
         grid = ext_netchaos.tasks(jobs=20, losses=LOSSES, config=SMALL, seed=7)
         assert len(grid) == len(LOSSES) * 3  # MC, MCC, MCCK per loss
-        assert all(t.kind == "sim-net" for t in grid)
+        assert all(t.kind == "sim" for t in grid)
         assert all(t.experiment == "ext-netchaos" for t in grid)
         labels = [t.label for t in grid]
         assert "MC@loss0" in labels and "MCCK@loss0.1" in labels
@@ -96,7 +96,7 @@ class TestDeterminism:
 class TestCacheKeys:
     def _task(self, net):
         return SimTask.make(
-            "ext-netchaos", "sim-net",
+            "ext-netchaos", "sim",
             configuration="MCC", config=SMALL,
             workload=("table1", 20, 7),
             net=net, net_seed=derive_net_seed(7),

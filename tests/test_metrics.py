@@ -1,101 +1,36 @@
-"""Tests for the metrics package: footprint, makespan, utilization, report."""
+"""Tests for the metrics package: footprint and report rendering."""
 
 import pytest
 
 from repro.metrics import (
     ascii_bar_chart,
-    find_footprint,
+    footprint_from_curve,
     format_series,
     format_table,
-    makespan_of,
-    mean_busy_cores,
     percent_reduction,
-    cluster_utilization,
-    summarize,
 )
-from repro.mpss import JobRunResult
-from repro.phi import XeonPhi
-from repro.sim import Environment
-
-
-def result(job_id, start, end, status="completed"):
-    return JobRunResult(job_id=job_id, start=start, end=end, status=status,
-                        offloads_run=1)
 
 
 class TestFootprint:
     def test_finds_smallest_size(self):
         # Makespan halves with every doubling: sizes 1..8.
         makespans = {n: 800 / n for n in range(1, 9)}
-        fp = find_footprint(lambda n: makespans[n], target_makespan=200, max_size=8)
+        fp = footprint_from_curve(200, makespans)
         assert fp.cluster_size == 4
         assert fp.found
         assert fp.makespans[4] == 200
         assert fp.reduction_vs(8) == pytest.approx(0.5)
 
     def test_unreachable_target(self):
-        fp = find_footprint(lambda n: 1000.0, target_makespan=10, max_size=4)
+        fp = footprint_from_curve(10, {n: 1000.0 for n in range(1, 5)})
         assert fp.cluster_size is None
         assert not fp.found
         assert fp.reduction_vs(8) is None
         assert len(fp.makespans) == 4
 
-    def test_scan_stops_at_first_hit(self):
-        calls = []
-
-        def runner(n):
-            calls.append(n)
-            return 10.0
-
-        find_footprint(runner, target_makespan=10, max_size=8)
-        assert calls == [1]
-
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
-            find_footprint(lambda n: 1.0, target_makespan=0, max_size=4)
-        with pytest.raises(ValueError):
-            find_footprint(lambda n: 1.0, target_makespan=1, max_size=0)
-
-
-class TestMakespan:
-    def test_makespan_of(self):
-        results = [result("a", 0, 10), result("b", 5, 30), result("c", 0, 20)]
-        assert makespan_of(results) == 30
-
-    def test_empty(self):
-        assert makespan_of([]) == 0.0
-        stats = summarize([])
-        assert stats.jobs == 0
-        assert stats.throughput == 0.0
-
-    def test_summarize(self):
-        results = [result("a", 0, 10), result("b", 10, 40)]
-        stats = summarize(results)
-        assert stats.makespan == 40
-        assert stats.mean_wall_time == pytest.approx(20.0)
-        assert stats.max_wall_time == 30.0
-        assert stats.mean_queue_to_start == pytest.approx(5.0)
-        assert stats.throughput == pytest.approx(2 / 40)
-
-
-class TestUtilization:
-    def test_cluster_utilization(self):
-        env = Environment()
-        devices = [XeonPhi(env, name=f"mic{i}") for i in range(2)]
-        devices[0].telemetry.busy_cores.record(0, 30)
-        devices[1].telemetry.busy_cores.record(0, 60)
-        summary = cluster_utilization(devices, 0, 10)
-        assert summary.per_device == (0.5, 1.0)
-        assert summary.mean == pytest.approx(0.75)
-        assert summary.minimum == 0.5
-        assert summary.maximum == 1.0
-
-    def test_mean_busy_cores(self):
-        env = Environment()
-        devices = [XeonPhi(env, name=f"mic{i}") for i in range(2)]
-        devices[0].telemetry.busy_cores.record(0, 15)
-        devices[1].telemetry.busy_cores.record(0, 45)
-        assert mean_busy_cores(devices, 0, 10) == pytest.approx(60.0)
+            footprint_from_curve(0, {1: 1.0})
 
 
 class TestReport:

@@ -8,10 +8,8 @@ from repro.metrics import (
     Replicated,
     balance_stats,
     compare,
-    concurrency_profile,
     offload_stats,
     queue_stats,
-    replicate,
 )
 from repro.mpss import JobRunResult
 from repro.phi import XeonPhi
@@ -98,27 +96,9 @@ class TestBalanceStats:
         assert balance_stats([]).work_imbalance == 1.0
 
 
-class TestConcurrencyProfile:
-    def test_profile_tracks_occupancy(self):
-        env = Environment()
-        phi = device_with_offloads(env, [(240, 10.0, 0.0)])
-        profile = concurrency_profile(phi, 0, 20, buckets=2)
-        assert profile[0] == pytest.approx(1.0)
-        assert profile[1] == pytest.approx(0.0)
-
-    def test_invalid_args(self):
-        env = Environment()
-        phi = XeonPhi(env)
-        with pytest.raises(ValueError):
-            concurrency_profile(phi, 5, 5)
-        with pytest.raises(ValueError):
-            concurrency_profile(phi, 0, 5, buckets=0)
-
-
 class TestReplication:
-    def test_replicate_collects_values(self):
-        rep = replicate(lambda seed: float(seed * 2), seeds=[1, 2, 3])
-        assert rep.values == (2.0, 4.0, 6.0)
+    def test_summary_statistics(self):
+        rep = Replicated((2.0, 4.0, 6.0))
         assert rep.mean == 4.0
         assert rep.n == 3
         assert rep.minimum == 2.0 and rep.maximum == 6.0
@@ -135,10 +115,6 @@ class TestReplication:
 
     def test_str(self):
         assert "n=2" in str(Replicated((1.0, 2.0)))
-
-    def test_empty_seeds_rejected(self):
-        with pytest.raises(ValueError):
-            replicate(lambda s: 0.0, seeds=[])
 
     def test_compare_detects_gap(self):
         a = Replicated((10.0, 10.5, 9.5, 10.2))

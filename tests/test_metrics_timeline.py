@@ -1,8 +1,8 @@
-"""Tests for the ASCII device/cluster timeline rendering."""
+"""Tests for the ASCII device timeline rendering."""
 
 import pytest
 
-from repro.metrics import cluster_timeline, device_timeline, legend
+from repro.metrics import device_timeline, legend
 from repro.phi import XeonPhi
 from repro.sim import Environment
 
@@ -50,15 +50,7 @@ class TestDeviceTimeline:
             device_timeline(phi, 0, 10, width=0)
 
 
-class TestClusterTimeline:
-    def test_one_row_per_device(self, env):
-        devices = [XeonPhi(env, name=f"mic{i}") for i in range(3)]
-        text = cluster_timeline(devices, 0, 10, width=20)
-        lines = text.splitlines()
-        assert len(lines) == 3 + 3  # axis, rows, axis, scale
-        assert "mic0" in lines[1]
-        assert "mic2" in lines[3]
-
+class TestLegend:
     def test_legend(self):
         text = legend()
         assert "@" in text and "idle" in text

@@ -200,7 +200,7 @@ class TestDeterminism:
         for n in range(25):
             fabric.send("a", "b", "ping", {"n": n})
         env.run(until=1000.0)
-        return events, fabric.stats.as_dict()
+        return events, fabric.stats
 
     def test_same_seed_replays_identically(self):
         first = self._trace_run(derive_net_seed(42))

@@ -164,7 +164,7 @@ class TestFabricModeEquivalence:
         first = _run_pool(jobs, net, derive_net_seed(5))
         second = _run_pool(jobs, net, derive_net_seed(5))
         assert first.schedd.makespan() == second.schedd.makespan()
-        assert first.fabric.stats.as_dict() == second.fabric.stats.as_dict()
+        assert first.fabric.stats == second.fabric.stats
         ends_a = sorted(r.result.end for r in first.schedd.all_records())
         ends_b = sorted(r.result.end for r in second.schedd.all_records())
         assert ends_a == ends_b

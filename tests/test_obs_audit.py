@@ -54,13 +54,6 @@ class TestUnitViolations:
         with pytest.raises(AuditViolation, match="slot-double-release"):
             auditor.slot_released("node0", "j1", 3.0)
 
-    def test_negative_device_memory(self, auditor):
-        auditor.enter_cell("t")
-        auditor.device_memory("mic0", 12.0, 1.0)
-        auditor.device_memory("mic0", 0.0, 1.0)  # exact zero is fine
-        with pytest.raises(AuditViolation, match="negative-device-memory"):
-            auditor.device_memory("mic0", -5.0, 2.0)
-
     def test_double_claim(self, auditor):
         auditor.enter_cell("t")
         auditor.claim_opened("j1", 1, 1.0)

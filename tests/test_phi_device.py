@@ -9,10 +9,6 @@ from repro.phi import (
     PAPER_SPEC,
     UnmanagedContention,
     XeonPhi,
-    XeonPhiSpec,
-    format_report,
-    query_device,
-    query_node,
 )
 from repro.sim import Environment, Interrupt
 
@@ -212,19 +208,11 @@ class TestMemoryAndOOM:
         with pytest.raises(ValueError):
             XeonPhi(env, oom_policy="lifo")
 
-    def test_free_and_unregister(self, phi):
+    def test_unregister_reclaims_memory(self, phi):
         phi.register_process("p")
         phi.allocate("p", 1000)
-        phi.free("p", 400)
-        assert phi.resident_of("p") == 600
         phi.unregister_process("p")
         assert phi.resident_memory_mb == 0
-
-    def test_free_clamps_at_zero(self, phi):
-        phi.register_process("p")
-        phi.allocate("p", 100)
-        phi.free("p", 500)
-        assert phi.resident_of("p") == 0
 
     def test_set_resident(self, phi):
         phi.register_process("p")
@@ -233,7 +221,7 @@ class TestMemoryAndOOM:
 
     def test_negative_amounts_rejected(self, phi):
         phi.register_process("p")
-        for method in (phi.allocate, phi.free, phi.set_resident):
+        for method in (phi.allocate, phi.set_resident):
             with pytest.raises(ValueError):
                 method("p", -1)
 
@@ -266,21 +254,3 @@ class TestMemoryAndOOM:
         assert outcomes == ["oom"]
         assert phi.running_offloads == 0
 
-
-class TestMicinfo:
-    def test_query_device(self, env):
-        phi = XeonPhi(env, spec=XeonPhiSpec(cores=57, memory_mb=6144), name="micX")
-        info = query_device(phi, index=2)
-        assert info.cores == 57
-        assert info.memory_mb == 6144
-        assert info.device_index == 2
-        assert info.name == "micX"
-
-    def test_query_node_and_report(self, env):
-        devices = [XeonPhi(env, name=f"mic{i}") for i in range(2)]
-        infos = query_node(devices)
-        assert [i.device_index for i in infos] == [0, 1]
-        report = format_report(infos)
-        assert "2 device(s)" in report
-        assert "mic1" in report
-        assert "240" in report

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import EmptySchedule, Environment, SimulationError
+from repro.sim import Environment, SimulationError
 
 
 @pytest.fixture
@@ -64,10 +64,6 @@ class TestClock:
         assert env.peek() == float("inf")
         env.timeout(3)
         assert env.peek() == 3
-
-    def test_step_empty_raises(self, env):
-        with pytest.raises(EmptySchedule):
-            env.step()
 
     def test_negative_schedule_delay_rejected(self, env):
         with pytest.raises(ValueError):

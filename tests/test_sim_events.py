@@ -3,8 +3,6 @@
 import pytest
 
 from repro.sim import (
-    AllOf,
-    AnyOf,
     Environment,
     Event,
     Interrupt,
@@ -121,116 +119,6 @@ class TestTimeout:
 
     def test_repr_mentions_delay(self, env):
         assert "3" in repr(env.timeout(3))
-
-
-class TestConditions:
-    def test_allof_waits_for_every_event(self, env):
-        t1, t2 = env.timeout(1, value="a"), env.timeout(2, value="b")
-        done = []
-
-        def proc(env):
-            result = yield AllOf(env, [t1, t2])
-            done.append((env.now, result[t1], result[t2]))
-
-        env.process(proc(env))
-        env.run()
-        assert done == [(2, "a", "b")]
-
-    def test_anyof_fires_on_first(self, env):
-        t1, t2 = env.timeout(5), env.timeout(1, value="fast")
-        done = []
-
-        def proc(env):
-            result = yield AnyOf(env, [t1, t2])
-            done.append((env.now, t2 in result, t1 in result))
-
-        env.process(proc(env))
-        env.run()
-        assert done == [(1, True, False)]
-
-    def test_operator_and(self, env):
-        times = []
-
-        def proc(env):
-            yield env.timeout(1) & env.timeout(3)
-            times.append(env.now)
-
-        env.process(proc(env))
-        env.run()
-        assert times == [3]
-
-    def test_operator_or(self, env):
-        times = []
-
-        def proc(env):
-            yield env.timeout(1) | env.timeout(3)
-            times.append(env.now)
-
-        env.process(proc(env))
-        env.run()
-        assert times == [1]
-
-    def test_empty_allof_triggers_immediately(self, env):
-        cond = AllOf(env, [])
-        assert cond.triggered
-
-    def test_empty_anyof_triggers_immediately(self, env):
-        cond = AnyOf(env, [])
-        assert cond.triggered
-
-    def test_condition_value_mapping(self, env):
-        t1 = env.timeout(1, value=10)
-        cond = AllOf(env, [t1])
-        env.run()
-        value = cond.value
-        assert value[t1] == 10
-        assert value.todict() == {t1: 10}
-        assert len(value) == 1
-        assert list(value) == [t1]
-
-    def test_condition_value_missing_key(self, env):
-        t1 = env.timeout(1)
-        other = env.timeout(1)
-        cond = AllOf(env, [t1])
-        env.run()
-        with pytest.raises(KeyError):
-            cond.value[other]
-
-    def test_failed_subevent_fails_condition(self, env):
-        bad = env.event()
-        caught = []
-
-        def proc(env):
-            try:
-                yield AllOf(env, [bad, env.timeout(10)])
-            except RuntimeError as exc:
-                caught.append((env.now, str(exc)))
-
-        def failer(env):
-            yield env.timeout(2)
-            bad.fail(RuntimeError("sub failed"))
-
-        env.process(proc(env))
-        env.process(failer(env))
-        env.run()
-        assert caught == [(2, "sub failed")]
-
-    def test_cross_environment_events_rejected(self, env):
-        other = Environment()
-        with pytest.raises(ValueError):
-            AllOf(env, [env.timeout(1), other.timeout(1)])
-
-    def test_nested_condition_values_flatten(self, env):
-        t1, t2, t3 = env.timeout(1), env.timeout(2), env.timeout(3)
-        results = []
-
-        def proc(env):
-            value = yield (t1 & t2) & t3
-            results.append(sorted(value.todict(), key=id))
-
-        env.process(proc(env))
-        env.run()
-        assert len(results[0]) == 3
 
 
 class TestProcessBasics:
@@ -433,22 +321,6 @@ class TestEventHelpers:
         env.run()
         assert not sink.ok
         assert source.defused
-
-    def test_condition_value_equality_with_dict(self, env):
-        t = env.timeout(1, value=5)
-        cond = AllOf(env, [t])
-        env.run()
-        assert cond.value == {t: 5}
-        assert "ConditionValue" in repr(cond.value)
-
-    def test_condition_over_already_processed_events(self, env):
-        t1 = env.timeout(0, value="x")
-        env.run()
-        assert t1.processed
-        cond = AllOf(env, [t1])
-        assert cond.triggered
-        env.run()
-        assert cond.value[t1] == "x"
 
     def test_event_repr_states(self, env):
         event = env.event()

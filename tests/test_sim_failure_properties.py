@@ -2,15 +2,10 @@
 
 The fault subsystem leans on two kernel guarantees:
 
-* a failure reaching a waiting process is *defused* exactly once — the
-  waiter's ``except`` handles it and the simulation keeps running, and
-  the waiter is never resumed twice for one wait;
+* a failure reaching a waiting process is *defused* — the waiter's
+  ``except`` handles it and the simulation keeps running;
 * a failure nobody handles is *never silently dropped* — it surfaces
-  from ``Environment.step`` (including the late-failure case where a
-  sub-event of an already-triggered condition fails afterwards).
-
-These are exercised here through randomized ``AnyOf`` / ``AllOf``
-combinations of succeeding and failing events (hypothesis).
+  from ``Environment.run`` as the original exception.
 """
 
 from hypothesis import given, settings
@@ -29,112 +24,6 @@ def _driver(env, event, delay, fails):
         event.fail(Boom(delay))
     else:
         event.succeed(delay)
-
-
-#: (delay, fails) per event; distinct delays keep firing order unambiguous.
-_spec = st.lists(
-    st.tuples(
-        st.integers(min_value=1, max_value=30),
-        st.booleans(),
-    ),
-    min_size=2,
-    max_size=6,
-    unique_by=lambda pair: pair[0],
-)
-
-
-@settings(max_examples=60, deadline=None)
-@given(spec=_spec, use_all=st.booleans())
-def test_handled_condition_failure_resumes_waiter_exactly_once(spec, use_all):
-    """With every event also individually absorbed, a failing condition
-    never crashes the run, and the waiter resumes exactly once."""
-    env = Environment()
-    events = [env.event() for _ in spec]
-    for event, (delay, fails) in zip(events, spec):
-        env.process(_driver(env, event, delay, fails))
-
-    resumes = []
-    absorbed = []
-
-    def waiter(env):
-        cond = env.all_of(events) if use_all else env.any_of(events)
-        try:
-            value = yield cond
-            resumes.append(("ok", value))
-        except Boom as exc:
-            resumes.append(("fail", exc))
-
-    def absorber(env, event):
-        # Late failures (after the condition triggered) are nobody
-        # else's to handle; each event gets a dedicated waiter.
-        try:
-            yield event
-            absorbed.append(True)
-        except Boom:
-            absorbed.append(False)
-
-    env.process(waiter(env))
-    for event in events:
-        env.process(absorber(env, event))
-    env.run()
-
-    assert len(resumes) == 1, "waiter must resume exactly once"
-    assert len(absorbed) == len(events)
-
-    by_time = sorted(zip(spec, events))
-    failures = [delay for (delay, fails), _ in by_time if fails]
-    if use_all:
-        # AllOf fails at the first failure; succeeds only if none fail.
-        expected = "fail" if failures else "ok"
-    else:
-        # AnyOf takes the outcome of the earliest-firing event.
-        first_delay, first_fails = min(spec)
-        expected = "fail" if first_fails else "ok"
-    assert resumes[0][0] == expected
-
-
-@settings(max_examples=60, deadline=None)
-@given(spec=_spec, seed=st.integers(min_value=0, max_value=2**16))
-def test_nested_conditions_never_double_resume(spec, seed):
-    """Random &/| trees over absorbed events: the tree's waiter resumes
-    exactly once and nothing escapes the run."""
-    import random
-
-    rng = random.Random(seed)
-    env = Environment()
-    events = [env.event() for _ in spec]
-    for event, (delay, fails) in zip(events, spec):
-        env.process(_driver(env, event, delay, fails))
-
-    tree = events[0]
-    inner_nodes = []
-    for event in events[1:]:
-        tree = (tree & event) if rng.random() < 0.5 else (tree | event)
-        inner_nodes.append(tree)
-
-    resumes = []
-
-    def waiter(env):
-        try:
-            yield tree
-            resumes.append("ok")
-        except Boom:
-            resumes.append("fail")
-
-    def absorber(env, event):
-        try:
-            yield event
-        except Boom:
-            pass
-
-    env.process(waiter(env))
-    # Absorb leaves AND intermediate condition nodes: an inner condition
-    # failing after its parent triggered is itself a late failure that
-    # would (correctly) surface if nobody handled it.
-    for event in events + inner_nodes:
-        env.process(absorber(env, event))
-    env.run()
-    assert len(resumes) == 1
 
 
 @settings(max_examples=40, deadline=None)
@@ -171,49 +60,3 @@ def test_direct_event_failure_defused_iff_caught(delay, caught):
         with pytest.raises(Boom):
             env.run()
 
-
-def test_late_failure_after_anyof_trigger_surfaces():
-    """AnyOf triggers on the first event; a second event failing later
-    is NOT swallowed by the already-triggered condition — it must crash
-    the run unless some other waiter defuses it."""
-    import pytest
-
-    env = Environment()
-    a, b = env.event(), env.event()
-    env.process(_driver(env, a, 1, False))
-    env.process(_driver(env, b, 2, True))
-
-    got = []
-
-    def waiter(env):
-        value = yield env.any_of([a, b])
-        got.append(value)
-
-    env.process(waiter(env))
-    with pytest.raises(Boom):
-        env.run()
-    assert len(got) == 1  # the condition itself succeeded first
-
-
-def test_late_failure_after_allof_failure_surfaces():
-    """AllOf fails at the first failure; a *second* failure arriving
-    later is separate and surfaces even when the first was handled."""
-    import pytest
-
-    env = Environment()
-    a, b = env.event(), env.event()
-    env.process(_driver(env, a, 1, True))
-    env.process(_driver(env, b, 2, True))
-
-    caught = []
-
-    def waiter(env):
-        try:
-            yield env.all_of([a, b])
-        except Boom:
-            caught.append(True)
-
-    env.process(waiter(env))
-    with pytest.raises(Boom):
-        env.run()
-    assert caught == [True]

@@ -99,7 +99,7 @@ class TestTable1Generation:
 
     def test_duty_cycle_shape(self):
         jobs = generate_table1_jobs(200, seed=5)
-        duties = [j.offload_duty_cycle for j in jobs]
+        duties = [j.total_offload_work / j.nominal_duration for j in jobs]
         assert 0.8 <= float(np.mean(duties)) <= 0.95
 
 

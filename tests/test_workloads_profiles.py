@@ -50,7 +50,6 @@ class TestJobProfile:
         assert job.nominal_duration == 14.0
         assert job.peak_memory_mb == 800.0
         assert job.peak_threads == 120
-        assert job.offload_duty_cycle == pytest.approx(10 / 14)
 
     def test_honest_job(self):
         assert make_job().honest
@@ -68,7 +67,6 @@ class TestJobProfile:
         assert job.offload_count == 0
         assert job.peak_memory_mb == 0.0
         assert job.peak_threads == 0
-        assert job.offload_duty_cycle == 0.0
 
     def test_validate_fits_passes(self):
         make_job().validate_fits(memory_mb=8192, threads=240)
