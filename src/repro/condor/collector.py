@@ -71,10 +71,11 @@ class Collector:
         self.stale_drops = 0
         self.reregistrations = 0
         #: Delta-maintained candidate set: names of nodes that are alive,
-        #: neither deregistered nor stale, and have a free host slot. Every
-        #: job Requirements shape includes ``TARGET.FreeSlots >= 1``, so
-        #: matchmaking decisions restricted to this set are identical to
-        #: a full scan; startds push 0<->free transitions as they happen.
+        #: neither deregistered nor stale, and have a free host slot. The
+        #: negotiator only full-scans Requirements that conjoin
+        #: ``TARGET.FreeSlots >= 1``, so matchmaking decisions restricted
+        #: to this set are identical to a scan of every node; startds
+        #: push 0<->free transitions as they happen.
         self._free: set[str] = set()
         #: Registration order, so candidate lists keep the order
         #: :meth:`snapshots` would have produced.
@@ -320,10 +321,11 @@ class LiveCycleView:
     first use and cached for the cycle, shared between the candidate
     scan and the pin lookup so deductions land on one object per node,
     and a cycle that probes nothing builds nothing. Restricting
-    candidates to free-slot nodes is decision-identical to the
-    historical full scan because every job Requirements shape includes
-    ``TARGET.FreeSlots >= 1`` (only the per-cycle evaluation *count*
-    observed by the profiler shrinks).
+    candidates to free-slot nodes, and dropping a node once the cycle's
+    deductions fill it, is decision-identical to the historical full
+    scan because the negotiator only full-scans Requirements that
+    conjoin ``TARGET.FreeSlots >= 1`` (only the per-cycle evaluation
+    *count* observed by the profiler shrinks).
     """
 
     __slots__ = ("_collector", "_free", "_entry", "_build", "_snaps", "_ads",
@@ -366,11 +368,25 @@ class LiveCycleView:
         return snap
 
     def candidates(self) -> list[MachineSnapshot]:
-        """Snapshots of offered free-slot nodes, in registration order."""
+        """Snapshots of offered free-slot nodes, in registration order,
+        less those this cycle's deductions have filled."""
         if self._candidates is None:
             names = sorted(self._free, key=self._collector._reg_index.get)
             self._candidates = [self._snapshot_of(name) for name in names]
         return self._candidates
+
+    def note_deduction(self, snapshot: MachineSnapshot) -> None:
+        """Drop ``snapshot`` from the candidates once a deduction has
+        taken its last free slot: from then on it can only fail
+        ``TARGET.FreeSlots >= 1``. The list is the view's own; the free
+        set it was built from is never touched."""
+        if snapshot.free_slots > 0:
+            return
+        candidates = self.candidates()
+        for i, candidate in enumerate(candidates):
+            if candidate is snapshot:
+                del candidates[i]
+                return
 
     def any_free_slot(self) -> bool:
         """Whether some candidate still has a free host slot — answered

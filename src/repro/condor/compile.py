@@ -152,21 +152,30 @@ class RequirementsPlan:
         negotiator routes the job through the collector's name index
         instead of scanning every machine. ``None`` for general
         expressions (full-scan fallback).
+    needs_free_slot:
+        Whether the conjunction contains ``TARGET.FreeSlots >= 1``: then
+        no machine without a free slot can match, which is what lets the
+        negotiator's full scan visit only the free-slot machines.
     """
 
-    __slots__ = ("fn", "never_matches", "pin_name")
+    __slots__ = ("fn", "never_matches", "pin_name", "needs_free_slot")
 
     def __init__(
-        self, fn: CompiledExpr, never_matches: bool, pin_name: Optional[str]
+        self,
+        fn: CompiledExpr,
+        never_matches: bool,
+        pin_name: Optional[str],
+        needs_free_slot: bool,
     ) -> None:
         self.fn = fn
         self.never_matches = never_matches
         self.pin_name = pin_name
+        self.needs_free_slot = needs_free_slot
 
     def __repr__(self) -> str:
         return (
             f"<RequirementsPlan never_matches={self.never_matches} "
-            f"pin={self.pin_name!r}>"
+            f"pin={self.pin_name!r} needs_free_slot={self.needs_free_slot}>"
         )
 
 
@@ -182,7 +191,9 @@ def requirements_plan(expr: Expr) -> RequirementsPlan:
         return entry[1]
     fn, const = _compiled(expr)
     never = const and fn(_FOLD_CTX) is not True
-    plan = RequirementsPlan(fn, never, _pin_literal(expr))
+    plan = RequirementsPlan(
+        fn, never, _pin_literal(expr), _needs_free_slot(expr)
+    )
     if len(_PLANS) >= _CACHE_LIMIT:
         _PLANS.pop(next(iter(_PLANS)))
         cache_evictions += 1
@@ -222,6 +233,32 @@ def _pin_literal(expr: Expr) -> Optional[str]:
                     # collector's index is keyed lowercase to match.
                     return lit.value.lower()
     return None
+
+
+def _needs_free_slot(expr: Expr) -> bool:
+    """Whether the ``&&`` spine carries ``TARGET.FreeSlots >= <n>``, n >= 1.
+
+    The same argument as :func:`_pin_literal`: that conjunct is False on
+    a machine with no free slot, and so is the whole conjunction.
+    """
+    if isinstance(expr, BinaryOp):
+        if expr.op == "&&":
+            return _needs_free_slot(expr.left) or _needs_free_slot(expr.right)
+        if expr.op == ">=":
+            ref, lit = expr.left, expr.right
+        elif expr.op == "<=":
+            ref, lit = expr.right, expr.left
+        else:
+            return False
+        return (
+            isinstance(ref, AttrRef)
+            and ref.scope == "target"
+            and ref.name.lower() == "freeslots"
+            and isinstance(lit, Literal)
+            and type(lit.value) in (int, float)
+            and lit.value >= 1
+        )
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -62,7 +62,7 @@ class CycleStats:
     evals: int = 0
     #: Examined jobs routed through the collector's name index (O(1)).
     pin_routed: int = 0
-    #: Examined jobs that scanned every candidate machine.
+    #: Examined jobs that scanned every free-slot candidate machine.
     full_scans: int = 0
 
 
@@ -483,6 +483,7 @@ class Negotiator:
                 exclusive,
                 record.profile.declared_memory_mb,
             )
+            view.note_deduction(snapshot)
             exhausted = policy.exhausted(view)
             if self._fabric is None:
                 startd = self.collector.startd(snapshot.node)
@@ -590,6 +591,13 @@ class Negotiator:
                     return self.policy.place(record, [pinned])
                 return None
             # Two live names collide case-insensitively: scan instead.
+        if not plan.needs_free_slot:
+            # The view offers only machines with a free slot; a scan that
+            # could match a full one would silently decide differently.
+            raise ValueError(
+                f"job {record.job_id!r}: Requirements lack "
+                "TARGET.FreeSlots >= 1, which a full scan needs"
+            )
         snapshots = view.candidates()
         stats.full_scans += 1
         stats.evals += len(snapshots)

@@ -12,7 +12,7 @@ the simulator's clock:
   compacts the log to a header plus one snapshot per job. ``replay()``
   feeds the journal back through ``Schedd._apply`` — the function the
   live queue runs — so the rebuilt queue (fresh :class:`JobRecord`
-  objects, idle index, counters, retry accounting) is the same state
+  objects, idle queue, counters, retry accounting) is the same state
   machine's output, with nothing published.
 * :class:`DaemonSupervisor` — crashes and restarts the schedd,
   negotiator, and collector. A crash closes the daemon's fabric

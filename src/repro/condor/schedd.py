@@ -27,6 +27,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import operator
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
@@ -98,7 +99,7 @@ INFRASTRUCTURE_STATUSES = frozenset(
      "infrastructure"}
 )
 
-#: Sort key for FIFO queue listings (precomputed at submission).
+#: Sort key for FIFO queue order (precomputed at submission).
 _FIFO_KEY = operator.attrgetter("fifo_key")
 
 
@@ -185,7 +186,7 @@ class JobRecord:
     #: retried job sheds any pin/park the previous attempt carried.
     base_requirements: Optional[Expr] = None
     #: FIFO examination key, fixed at submission: (submit_time, seq).
-    #: Cached so queue listings sort without re-deriving tuples per call.
+    #: Unique per job; the idle queue is kept in this order.
     fifo_key: tuple = (0.0, 0)
     #: The current match/claim token under the message fabric. Stale
     #: messages (from a match the schedd has since abandoned) carry an
@@ -281,8 +282,9 @@ class Schedd:
         self.env = env
         self.retry_policy = retry_policy or RetryPolicy()
         self._records: dict[str, JobRecord] = {}
-        #: Idle jobs by id, kept by ``_apply``: what ``pending()`` sorts.
-        self._idle_index: dict[str, JobRecord] = {}
+        #: Idle jobs in ``fifo_key`` order, kept by ``_apply``: what
+        #: ``pending()`` lists.
+        self._idle: list[JobRecord] = []
         self._seq = 0
         from .observe import JobObserver
         #: Called with every published transition, in this order.
@@ -362,8 +364,12 @@ class Schedd:
         return sorted(self._records.values(), key=_FIFO_KEY)
 
     def pending(self) -> list[JobRecord]:
-        """Idle jobs in FIFO order (the negotiator's examination order)."""
-        return sorted(self._idle_index.values(), key=_FIFO_KEY)
+        """Idle jobs in FIFO order (the negotiator's examination order).
+
+        A copy: a direct-mode match runs its job while the negotiator is
+        still walking the list.
+        """
+        return self._idle.copy()
 
     def running(self) -> list[JobRecord]:
         return [r for r in self._records.values() if r.status == RUNNING]
@@ -387,7 +393,7 @@ class Schedd:
     def idle_jobs(self) -> int:
         """Jobs currently idle (the size of :meth:`pending`'s result),
         so an idle-pool negotiation cycle can skip the listing."""
-        return len(self._idle_index)
+        return len(self._idle)
 
     # -- qedit -------------------------------------------------------------
 
@@ -527,7 +533,7 @@ class Schedd:
             # The queue restarts here; records are replaced job by job
             # as their submit or snapshot is applied.
             self.requeues, self.terminal_failures = tr.state
-            self._idle_index = {}
+            self._idle = []
             self._unfinished = 0
             self._seq = 0
             return
@@ -543,15 +549,15 @@ class Schedd:
             record.status = MATCHED
             record.claim_token = tr.token
             record.matched_at = tr.time
-            del self._idle_index[job_id]
+            self._idle_remove(record)
         elif kind == UNMATCH:
             record.status = IDLE
             record.claim_token = None
             record.matched_at = None
-            self._idle_index[job_id] = record
+            self._idle_insert(record)
         elif kind == RUN:
             # From IDLE, or from MATCHED under the fabric.
-            self._idle_index.pop(job_id, None)
+            self._idle_remove(record)
             record.status = RUNNING
             record.matched_node = tr.node
             record.matched_device = tr.device
@@ -586,7 +592,7 @@ class Schedd:
                 # re-parks it when it sees the transition.
                 record.ad["Requirements"] = record.base_requirements
             self.requeues += 1
-            self._idle_index[job_id] = record
+            self._idle_insert(record)
         else:  # pragma: no cover - journal corruption guard
             raise ValueError(f"unknown transition kind {kind!r}")
         record.ad["JobStatus"] = record.status
@@ -595,6 +601,8 @@ class Schedd:
         # A replay replaces the crashed daemon's record; waiters on its
         # completion event must still resolve.
         prior = self._records.pop(tr.job_id, None)
+        if prior is not None:
+            self._idle_remove(prior)
         completion = prior.completion if prior is not None else self.env.event()
         if tr.kind == SNAPSHOT:
             record = tr.state.detached(completion)
@@ -613,11 +621,28 @@ class Schedd:
         self._records[tr.job_id] = record
         self._seq = max(self._seq, record.seq)
         if record.status == IDLE:
-            self._idle_index[tr.job_id] = record
+            self._idle_insert(record)
         if record.status in (COMPLETED, FAILED):
             _settle(record)
         else:
             self._unfinished += 1
+
+    def _idle_insert(self, record: JobRecord) -> None:
+        idle = self._idle
+        if not idle or idle[-1].fifo_key < record.fifo_key:
+            # A live submission is the newest job: O(1).
+            idle.append(record)
+        else:
+            # Back at its original FIFO place: a requeued or unmatched
+            # job, or a replayed older one.
+            insort(idle, record, key=_FIFO_KEY)
+
+    def _idle_remove(self, record: JobRecord) -> None:
+        """Drop ``record`` (by identity) from the idle queue, if there."""
+        idle = self._idle
+        i = bisect_left(idle, record.fifo_key, key=_FIFO_KEY)
+        if i < len(idle) and idle[i] is record:
+            del idle[i]
 
     # -- draining -----------------------------------------------------------
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 from ..metrics.report import format_table
 from .ads import slot_name
 from .pool import CondorPool
-from .schedd import COMPLETED, IDLE, RUNNING, Schedd
+from .schedd import COMPLETED, RUNNING, Schedd
 
 
 def condor_q(schedd: Schedd, show_completed: bool = False) -> str:
@@ -30,7 +30,7 @@ def condor_q(schedd: Schedd, show_completed: bool = False) -> str:
         )
     counts = (
         f"{schedd.total_jobs} jobs; "
-        f"{len(schedd.pending())} idle, {len(schedd.running())} running, "
+        f"{schedd.idle_jobs} idle, {len(schedd.running())} running, "
         f"{len(schedd.completed())} completed"
     )
     table = format_table(

@@ -12,9 +12,10 @@ provides:
 * **Loss / duplication**: per-attempt seeded coin flips.
 * **Scripted partitions**: windows during which matching endpoints are
   unreachable (drops at send time; retransmission rides it out).
-* **At-least-once delivery**: a per-message retransmit process resends
-  on a seeded exponential backoff until an acknowledgement arrives.
-  Acks travel through the same lossy weather.
+* **At-least-once delivery**: a per-message retransmit timer (a bare
+  timeout with a callback, no process) resends on a seeded exponential
+  backoff until an acknowledgement arrives. Acks travel through the
+  same lossy weather.
 * **Idempotent, in-order dispatch**: the receiver side of each link
   drops duplicate sequence numbers (re-acking them — the ack may have
   been the lost half) and buffers ahead-of-sequence arrivals until the
@@ -37,7 +38,8 @@ import random
 
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
-from ..sim import Environment
+from ..sim import Environment, Event
+from ..sim.events import URGENT
 from .profile import NetProfile
 
 #: Well-known endpoint names (startds use :func:`startd_endpoint`).
@@ -129,7 +131,7 @@ class MessageFabric:
     def set_down(self, endpoint: str) -> None:
         """Take an endpoint offline: it neither sends nor receives.
 
-        In-flight retransmit loops keep running; delivery resumes once
+        In-flight retransmit timers keep firing; delivery resumes once
         the endpoint comes back (daemon restart keeps the TCP analogy
         simple: the transport state survives).
         """
@@ -172,10 +174,15 @@ class MessageFabric:
         if registry is not None:
             registry.counter("net.messages").inc()
         out = _Outstanding(on_delivered)
-        self.env.process(
-            self._retransmit_loop(message, out),
-            name=f"net:{kind}:{src}->{dst}#{message.seq}",
+        # The first attempt runs in an URGENT slot of this instant (where
+        # a process start would run), keeping the RNG draw order.
+        start = Event(self.env)
+        start.callbacks.append(
+            lambda _event: self._attempt(
+                message, out, 1, self.profile.rto_initial_s
+            )
         )
+        start.succeed(priority=URGENT)
         return message
 
     # -- internals --------------------------------------------------------
@@ -207,18 +214,25 @@ class MessageFabric:
                 return True
         return False
 
-    def _retransmit_loop(self, message: Message, out: _Outstanding):
-        """Transmit, then resend on seeded exponential backoff until acked."""
-        rto = self.profile.rto_initial_s
-        attempt = 0
-        while not out.acked:
-            attempt += 1
-            self._transmit(message, out, attempt)
-            # Seeded jitter on the backoff so simultaneous losses don't
-            # retransmit in lockstep (the same storm-avoidance argument
-            # as RetryPolicy jitter, at the transport layer).
-            yield self.env.timeout(rto * (0.5 + self.rng.random()))
-            rto = min(rto * self.profile.rto_backoff, self.profile.rto_max_s)
+    def _attempt(
+        self, message: Message, out: _Outstanding, attempt: int, rto: float
+    ) -> None:
+        """Transmit, then arm the retransmit timer, which resends on a
+        seeded exponential backoff until the message is acked."""
+        self._transmit(message, out, attempt)
+        # Seeded jitter on the backoff so simultaneous losses don't
+        # retransmit in lockstep (the same storm-avoidance argument as
+        # RetryPolicy jitter, at the transport layer).
+        timer = self.env.timeout(rto * (0.5 + self.rng.random()))
+
+        def retransmit(_event) -> None:
+            if not out.acked:
+                backoff = rto * self.profile.rto_backoff
+                self._attempt(
+                    message, out, attempt + 1, min(backoff, self.profile.rto_max_s)
+                )
+
+        timer.callbacks.append(retransmit)
 
     def _transmit(self, message: Message, out: _Outstanding, attempt: int) -> None:
         profile = self.profile

@@ -1,10 +1,11 @@
 """Unit tests for placement policies, machine/job ads, and negotiation."""
 
+import hashlib
 import random
 
 import pytest
 
-from repro.cluster import ComputeNode
+from repro.cluster import ComputeNode, run_configuration, simulation
 from repro.condor import (
     Collector,
     CondorPool,
@@ -22,6 +23,7 @@ from repro.condor import (
     symmetric_match,
 )
 from repro.condor.collector import AMBIGUOUS_NAME, LiveCycleView
+from repro.experiments.common import PAPER_CLUSTER, make_workload
 from repro.net.profile import NetProfile
 from repro.sim import Environment
 from repro.workloads import HostPhase, JobProfile, OffloadPhase
@@ -346,6 +348,42 @@ class TestNegotiatorRouting:
         assert stats.pin_routed == 0
         assert stats.evals == 3
 
+    def test_filled_node_leaves_the_cycle_candidates(self):
+        env = Environment()
+        schedd = Schedd(env)
+        collector = Collector()
+        for name, slots in (("n0", 1), ("n1", 4)):
+            collector.register(
+                Startd(env, schedd, ComputeNode(env, name, mode="cosmic"),
+                       slots=slots)
+            )
+        negotiator = Negotiator(env, schedd, collector,
+                                RandomPlacement(random.Random(1)))
+        for i in range(3):
+            schedd.submit(make_profile(f"j{i}"))
+        assert negotiator.negotiate_once() == 3
+        assert [schedd.get(f"j{i}").matched_node for i in range(3)] \
+            == ["n0", "n1", "n1"]
+        # j0 probes both nodes and takes n0's only slot; j1 and j2 then
+        # probe n1 alone (a view that kept n0 would count 6).
+        stats = negotiator.last_cycle
+        assert stats.full_scans == 3
+        assert stats.evals == 2 + 1 + 1
+
+    def test_full_scan_needs_the_free_slot_conjunct(self):
+        env = Environment()
+        schedd, _, negotiator = _pool(
+            env, RandomPlacement(random.Random(0)), nodes=2,
+        )
+        schedd.submit(make_profile("pinned"))
+        schedd.qedit("pinned", "Requirements", 'TARGET.Name == "slot1@n0"')
+        # The pin route reads full nodes too, so it needs no such check.
+        assert negotiator.negotiate_once() == 1
+        schedd.submit(make_profile("loose"))
+        schedd.qedit("loose", "Requirements", "TARGET.Memory > 0")
+        with pytest.raises(ValueError, match="'loose'.*FreeSlots"):
+            negotiator.negotiate_once()
+
     def test_pin_to_unknown_node_matches_nothing(self):
         env = Environment()
         schedd, _, negotiator = _pool(env, PinnedPlacement())
@@ -419,3 +457,34 @@ class TestPinnedPlacement:
     def test_full_node_returns_none(self):
         policy = PinnedPlacement()
         assert policy.place(record(), [snapshot(free_slots=0)]) is None
+
+
+#: SHA-256 of ``repr`` of every job's ``(job_id, node, device)`` in FIFO
+#: order, for MCC on the paper's 8-node cluster with 200 normal jobs per
+#: node (seed 42). Recorded before the idle queue kept its own FIFO
+#: order and the cycle view dropped filled nodes; neither may move a
+#: placement.
+MCC_8X200_PLACEMENTS = (
+    "e7aa0033249b802f6b437e465d35e3dc199eebb61ff27e714de18215072cc0c3"
+)
+
+
+def test_mcc_8x200_placements_match_the_golden_digest(monkeypatch):
+    pools = []
+    collect = simulation._collect
+
+    def keep_pool(configuration, config, pool, *args, **kwargs):
+        pools.append(pool)
+        return collect(configuration, config, pool, *args, **kwargs)
+
+    monkeypatch.setattr(simulation, "_collect", keep_pool)
+    run_configuration(
+        "MCC", make_workload(("synthetic", 1600, "normal", 42)), PAPER_CLUSTER
+    )
+    placements = [
+        (r.job_id, r.matched_node, r.matched_device)
+        for r in pools[0].schedd.all_records()
+    ]
+    assert len(placements) == 1600
+    digest = hashlib.sha256(repr(placements).encode()).hexdigest()
+    assert digest == MCC_8X200_PLACEMENTS

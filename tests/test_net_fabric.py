@@ -10,7 +10,7 @@ from repro.net import (
     parse_partition,
     startd_endpoint,
 )
-from repro.sim import Environment
+from repro.sim import Environment, profile
 
 
 def _fabric(profile=None, seed=7):
@@ -125,6 +125,21 @@ class TestDelivery:
         assert seen == list(range(20))
         assert fabric.stats.losses > 0
         assert fabric.stats.retransmits > 0
+
+    def test_retransmit_timers_run_no_process(self):
+        prof = profile.activate()
+        try:
+            env, fabric = _fabric(NetProfile(loss=0.5), seed=3)
+        finally:
+            profile.deactivate()
+        seen = []
+        fabric.register("b", "ping", lambda m: seen.append(m.payload["n"]))
+        for n in range(20):
+            fabric.send("a", "b", "ping", {"n": n})
+        env.run(until=500.0)
+        assert seen == list(range(20))
+        assert fabric.stats.retransmits > 0
+        assert prof.process_switches == 0
 
     def test_duplicates_are_dropped(self):
         env, fabric = _fabric(NetProfile(dup=0.9), seed=5)
