@@ -20,13 +20,24 @@ gated offloads run at full speed on disjoint core sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Optional
 
 from ..obs import metrics as _metrics
 from ..phi.device import XeonPhi
 from ..sim import Container, ContainerGet, Environment
 from .container import DeclaredMemoryEnforcer
+
+#: The declared-memory ledger counts whole bytes. Integer sums are exact,
+#: so returning every admission restores the pool to capacity; megabyte
+#: floats with fractions (0.1 MB) would drift by an ulp per operation.
+_BYTES_PER_MB = 1 << 20
+
+
+def _bytes(mb: float) -> int:
+    """``mb`` in whole bytes, rounded up (exact for integral megabytes)."""
+    return math.ceil(mb * _BYTES_PER_MB)
 
 
 @dataclass
@@ -53,8 +64,9 @@ class Cosmic:
         self.device = device
         spec = device.spec
         threads = spec.hardware_threads
-        memory = spec.usable_memory_mb
-        # Pools start full; admission draws them down.
+        memory = _bytes(spec.usable_memory_mb)
+        # Pools start full; admission draws them down and releases return
+        # exactly what was drawn, without a put event.
         self._thread_pool = Container(env, capacity=threads, init=threads)
         self._memory_pool = Container(env, capacity=memory, init=memory)
         self.enforcer = enforcer if enforcer is not None else DeclaredMemoryEnforcer()
@@ -66,7 +78,7 @@ class Cosmic:
     @property
     def free_declared_memory_mb(self) -> float:
         """Declared-memory headroom still available on this card."""
-        return self._memory_pool.level
+        return self._memory_pool.level / _BYTES_PER_MB
 
     @property
     def resident_jobs(self) -> int:
@@ -80,10 +92,13 @@ class Cosmic:
         job can only ever run alone, which is the exclusive-allocation
         behaviour the paper's baseline gives every job.
         """
-        amount = min(declared_memory_mb, self._memory_pool.capacity)
-        event = self._memory_pool.get(amount)
+        event = self._memory_pool.get(self._declared_bytes(declared_memory_mb))
         event.callbacks.append(lambda _e: self._on_admit())
         return event
+
+    def _declared_bytes(self, declared_memory_mb: float) -> int:
+        """A declaration in pool units (bytes), clamped to the card."""
+        return _bytes(min(declared_memory_mb, self.device.spec.usable_memory_mb))
 
     def _on_admit(self) -> None:
         self._resident_jobs += 1
@@ -98,8 +113,7 @@ class Cosmic:
 
     def release_job(self, declared_memory_mb: float) -> None:
         """Return a completed (or killed) job's declared memory."""
-        amount = min(declared_memory_mb, self._memory_pool.capacity)
-        self._memory_pool.put(amount)
+        self._memory_pool.release(self._declared_bytes(declared_memory_mb))
         self._resident_jobs -= 1
         self.stats.jobs_released += 1
         registry = _metrics.ACTIVE
@@ -113,8 +127,9 @@ class Cosmic:
         registry.gauge(f"cosmic.{name}.resident_jobs").record(
             now, self._resident_jobs
         )
+        pool = self._memory_pool
         registry.gauge(f"cosmic.{name}.reserved_mb").record(
-            now, self._memory_pool.capacity - self._memory_pool.level
+            now, (pool.capacity - pool.level) / _BYTES_PER_MB
         )
 
     # -- offload gating (hardware threads) ------------------------------------
@@ -148,7 +163,7 @@ class Cosmic:
         """OffloadGate: return previously acquired threads."""
         if threads <= 0:
             raise ValueError("threads must be positive")
-        self._thread_pool.put(self._clamp_threads(threads))
+        self._thread_pool.release(self._clamp_threads(threads))
         registry = _metrics.ACTIVE
         if registry is not None:
             registry.gauge(f"cosmic.{self.device.name}.gated_threads").record(

@@ -55,6 +55,25 @@ class MemoryLimitExceeded(Exception):
         self.declared_mb = declared_mb
 
 
+def _trace_sub_waits(
+    tracer: _trace.Tracer,
+    sub_waits: list,
+    now: float,
+    tid: int,
+    parent: Optional[_trace.Span],
+) -> None:
+    """Emit the spans of a fused host-side wait's parts that ended by ``now``.
+
+    An interrupted wait thus traces only the transfers and host phases
+    that finished before the kill.
+    """
+    for name, begin, end, args in sub_waits:
+        if end > now:
+            break
+        tracer.complete(name, "mpss", begin, end, tid=tid, parent=parent, **args)
+    sub_waits.clear()
+
+
 class _OOMCause:
     """Interrupt cause delivered when the card OOM-kills this job."""
 
@@ -163,32 +182,47 @@ class OffloadRuntime:
         holding_threads = 0
         pending_grant = None
         grant_threads = 0
+        # Host-side delays between two state changes (xfer-out, host
+        # phases, xfer-in) fuse into one timeout at ``due``, summed with
+        # the additions a chain of timeouts would make: nothing changes
+        # state between them, and a kill interrupts whatever the process
+        # waits on. ``None`` ends the script, so the last run of delays
+        # is waited out like any other.
+        due: Optional[float] = None
+        # The fused wait's parts, kept for tracing: (name, start, end, args).
+        sub_waits: list = []
         try:
-            for phase in profile.phases:
+            for phase in (*profile.phases, None):
                 if isinstance(phase, HostPhase):
                     if phase.duration > 0:
-                        t0 = env.now
-                        yield env.timeout(phase.duration)
+                        begin = env.now if due is None else due
+                        due = begin + phase.duration
                         if tracer is not None:
-                            tracer.complete(
-                                "host-phase", "mpss", t0, env.now,
-                                tid=tid, parent=parent,
-                            )
+                            sub_waits.append(("host-phase", begin, due, {}))
                     continue
-                assert isinstance(phase, OffloadPhase)
-                # Move input buffers (host-blocking). The buffers land in
-                # the COI process *before* the offload is scheduled, so
-                # residency grows now — a queued offload holds its memory
-                # (SII-C: stacks and committed blocks persist).
-                in_time = self.scif.transfer_time(phase.transfer_mb / 2.0)
-                if in_time > 0:
-                    t0 = env.now
-                    yield env.timeout(in_time)
-                    if tracer is not None:
-                        tracer.complete(
-                            "xfer-in", "mpss", t0, env.now,
-                            tid=tid, parent=parent, mb=phase.transfer_mb / 2.0,
-                        )
+                if isinstance(phase, OffloadPhase):
+                    # Move input buffers (host-blocking). The buffers land
+                    # in the COI process *before* the offload is
+                    # scheduled, so residency grows now — a queued
+                    # offload holds its memory (SII-C: stacks and
+                    # committed blocks persist).
+                    in_time = self.scif.transfer_time(phase.transfer_mb / 2.0)
+                    if in_time > 0:
+                        begin = env.now if due is None else due
+                        due = begin + in_time
+                        if tracer is not None:
+                            sub_waits.append(
+                                ("xfer-in", begin, due, {"mb": phase.transfer_mb / 2.0})
+                            )
+                if due is not None:
+                    try:
+                        yield env.timeout_at(due)
+                    finally:
+                        if sub_waits:
+                            _trace_sub_waits(tracer, sub_waits, env.now, tid, parent)
+                    due = None
+                if phase is None:
+                    break
                 coi.grow_to(phase.memory_mb)
                 if self.enforcer is not None:
                     self.enforcer.check(profile, coi.resident_mb)
@@ -222,12 +256,11 @@ class OffloadRuntime:
                 # Move output buffers (host-blocking).
                 out_time = self.scif.transfer_time(phase.transfer_mb / 2.0)
                 if out_time > 0:
-                    t0 = env.now
-                    yield env.timeout(out_time)
+                    begin = env.now
+                    due = begin + out_time
                     if tracer is not None:
-                        tracer.complete(
-                            "xfer-out", "mpss", t0, env.now,
-                            tid=tid, parent=parent, mb=phase.transfer_mb / 2.0,
+                        sub_waits.append(
+                            ("xfer-out", begin, due, {"mb": phase.transfer_mb / 2.0})
                         )
         except Interrupt as interrupt:
             if isinstance(interrupt.cause, _OOMCause):

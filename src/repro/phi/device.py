@@ -5,8 +5,10 @@ a thread count and an amount of work (seconds at full speed). Concurrent
 offloads interact through a :class:`~repro.phi.contention.ContentionModel`
 that maps the device-wide thread demand to a per-offload service rate;
 whenever the set of running offloads changes, every offload's remaining
-work is advanced and its completion rescheduled (a malleable-task /
-processor-sharing engine built on interrupts).
+work is advanced and its completion moved to the new rate's finish time
+(a malleable-task / processor-sharing engine). Moving a sleeper's
+wake-up (:meth:`~repro.sim.Process.move_wakeup`) costs one kernel event;
+the sleeper is not woken to re-sleep.
 
 The device also owns the physical memory ledger. Allocating past capacity
 invokes the OOM killer, mirroring the on-card Linux behaviour the paper
@@ -20,7 +22,8 @@ from typing import Any, Callable, Hashable, Optional
 
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
-from ..sim import Environment, Interrupt
+from ..sim import Environment
+from ..sim.events import URGENT
 from .contention import AffinitizedContention, ContentionModel
 from .spec import PAPER_SPEC, XeonPhiSpec
 from .telemetry import DeviceTelemetry
@@ -56,15 +59,6 @@ class DeviceFailed(Exception):
     def __init__(self, device_name: str) -> None:
         super().__init__(f"device {device_name} failed")
         self.device_name = device_name
-
-
-class _RateChange:
-    """Interrupt cause used when an offload's service rate changes."""
-
-    __slots__ = ()
-
-
-_RATE_CHANGE = _RateChange()
 
 
 @dataclass
@@ -362,18 +356,11 @@ class XeonPhi:
                 work=work,
             )
         try:
-            while task.remaining > _EPS:
-                task.last_update = env.now
-                eta = task.remaining / task.rate
-                try:
-                    yield env.timeout(eta)
-                    task.remaining = 0.0
-                except Interrupt as interrupt:
-                    if isinstance(interrupt.cause, _RateChange):
-                        # _recompute already advanced ``remaining``;
-                        # loop to re-sleep at the new rate.
-                        continue
-                    raise  # Kills and other interrupts belong to the caller.
+            if task.remaining > _EPS:
+                # Rate changes move this wake-up (see _recompute); kills
+                # arrive as interrupts and belong to the caller.
+                yield env.timeout(task.remaining / task.rate)
+                task.remaining = 0.0
             completed = True
         finally:
             self._tasks.remove(task)
@@ -416,11 +403,16 @@ class XeonPhi:
                 task.last_update = now
             if task.rate != new_rate:
                 task.rate = new_rate
-                # Wake sleepers so they re-sleep with the new rate; the
-                # task that is currently being resumed (if any) is not
-                # sleeping and will pick the new rate up on its next loop.
-                if task.proc is not env.active_process and task.proc.is_alive:
-                    task.proc.interrupt(_RATE_CHANGE)
+                # Move each sleeper's wake-up to its finish at the new
+                # rate; one whose work is already done finishes now, ahead
+                # of this instant's normal events. The task being resumed
+                # (if any) is not sleeping and sleeps at the new rate.
+                proc = task.proc
+                if proc is not env.active_process and proc.is_alive:
+                    if task.remaining > _EPS:
+                        proc.move_wakeup(task.remaining / new_rate)
+                    else:
+                        proc.move_wakeup(0.0, URGENT)
         self.telemetry.busy_cores.record(now, self.busy_cores)
         self.telemetry.busy_threads.record(
             now, min(self.spec.hardware_threads, self.demanded_threads)

@@ -85,6 +85,33 @@ class Environment:
         """Create an event that triggers after ``delay`` simulated seconds."""
         return Timeout(self, delay, value)
 
+    def timeout_at(self, when: float, priority: int = NORMAL) -> Timeout:
+        """Create a :class:`Timeout` that triggers at the absolute time ``when``.
+
+        The heap key is ``when`` itself, not ``now + (when - now)``, so a
+        caller that sums a run of delays as ``(now + d1) + d2 ...`` fires
+        at exactly the instant a chain of :meth:`timeout` calls would
+        reach. ``priority`` orders it among same-time events (``URGENT``
+        wakes ahead of this instant's ``NORMAL`` events). Counted as a
+        scheduled ``Timeout`` like any other.
+        """
+        if when < self._now:
+            raise ValueError(f"when={when!r} lies in the past (now={self._now})")
+        # Same slot set-up as Timeout.__init__, minus the delay addition.
+        timeout = Timeout.__new__(Timeout)
+        timeout.env = self
+        pool = self._cb_pool
+        timeout.callbacks = pool.pop() if pool else []
+        timeout._value = None
+        timeout._ok = True
+        timeout._defused = False
+        timeout.delay = when - self._now
+        self._eid += 1
+        heappush(self._queue, (when, priority, self._eid, timeout))
+        if self._profiler is not None:
+            self._profiler.count_scheduled("Timeout")
+        return timeout
+
     def process(
         self, generator: ProcessGenerator, name: Optional[str] = None
     ) -> Process:

@@ -4,7 +4,14 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
-from .events import Event, Initialize, Interruption, SimulationError
+from .events import (
+    NORMAL,
+    Event,
+    Initialize,
+    Interruption,
+    SimulationError,
+    Timeout,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .core import Environment
@@ -50,6 +57,29 @@ class Process(Event):
     def interrupt(self, cause: Any = None) -> None:
         """Throw an :class:`Interrupt` into the process as soon as possible."""
         Interruption(self, cause)
+
+    def move_wakeup(self, delay: float, priority: int = NORMAL) -> None:
+        """Move this process's pending wake-up to a fresh timeout.
+
+        The process must be waiting on a :class:`Timeout`. Its resume
+        callback leaves that timeout, which then fires and resumes nobody,
+        and joins a new one at ``now + delay`` (``priority`` as in
+        :meth:`Environment.timeout_at`). The new timeout becomes the
+        process's target, so a later interrupt detaches it as usual. A
+        sleeper whose deadline changes (a rate change on a shared device)
+        thus costs one event, not an interrupt, a resume and a re-sleep.
+        """
+        target = self._target
+        if not isinstance(target, Timeout) or target.callbacks is None:
+            raise SimulationError(
+                f"process {self.name!r} is not waiting on a timeout"
+            )
+        env = self.env
+        timeout = env.timeout_at(env._now + delay, priority=priority)
+        target.callbacks.remove(self._resume)
+        assert timeout.callbacks is not None
+        timeout.callbacks.append(self._resume)
+        self._target = timeout
 
     def _resume(self, event: Event) -> None:
         """Advance the generator with the outcome of ``event``."""

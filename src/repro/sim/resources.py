@@ -209,6 +209,26 @@ class Container(_BaseResource):
             heapq.heappush(self._put_waiters, (self._wseq, event))  # type: ignore[misc]
         return event
 
+    def release(self, amount: float) -> None:
+        """Return ``amount`` that an earlier :meth:`get` withdrew.
+
+        Unlike :meth:`put` this schedules no event: a pool that only
+        takes back what it granted never waits for room, so the deposit
+        applies at once and waiting gets drain exactly as after a put.
+        Returning more than was taken is a caller bug and raises rather
+        than blocking or clamping.
+        """
+        if amount <= 0:
+            raise ValueError("amount must be positive")
+        level = self._level + amount
+        if level > self.capacity:
+            raise ValueError(
+                f"releasing {amount!r} overfills the container "
+                f"(level {self._level!r} of {self.capacity!r})"
+            )
+        self._level = level
+        self._drain_gets()
+
     def get(self, amount: float) -> ContainerGet:
         """Withdraw ``amount``; triggers once available."""
         event = ContainerGet(self, amount)

@@ -1,5 +1,7 @@
 """Unit tests for the COSMIC middleware: admission, gating, containers."""
 
+import random
+
 import pytest
 
 from repro.cosmic import (
@@ -8,7 +10,7 @@ from repro.cosmic import (
 )
 from repro.mpss import MemoryLimitExceeded
 from repro.phi import XeonPhi
-from repro.sim import Environment
+from repro.sim import Environment, profile
 from repro.workloads import HostPhase, JobProfile, OffloadPhase
 
 
@@ -77,6 +79,65 @@ class TestJobAdmission:
             env.process(run(env, mb))
         env.run()
         assert cosmic.stats.peak_concurrent_jobs == 3
+
+
+    def test_fractional_declarations_return_the_card_exactly(self, env, cosmic):
+        # Regression: a float MB ledger drifted (8191.999999999986 of 8192
+        # MB after this sequence), so a whole-card job never got in.
+        rng = random.Random(7)
+        held = []
+        for _ in range(11_500):
+            if held and rng.random() < 0.5:
+                cosmic.release_job(held.pop(rng.randrange(len(held))))
+            else:
+                mb = round(rng.uniform(0.1, 1500.0), 1)
+                if cosmic.free_declared_memory_mb >= mb:
+                    assert cosmic.admit_job(mb).triggered
+                    held.append(mb)
+            env.run()
+        while held:
+            cosmic.release_job(held.pop())
+        assert cosmic.free_declared_memory_mb == 8192
+        whole = cosmic.admit_job(20_000)  # clamped to the whole card
+        env.run()
+        assert whole.processed
+        assert cosmic.free_declared_memory_mb == 0
+
+    def test_over_release_raises(self, env, cosmic):
+        def run(env):
+            yield cosmic.admit_job(100.5)
+            cosmic.release_job(100.5)
+
+        env.process(run(env))
+        env.run()
+        with pytest.raises(ValueError):
+            cosmic.release_job(0.1)
+        with pytest.raises(ValueError):
+            cosmic.release(1)
+        assert cosmic.free_declared_memory_mb == 8192
+        assert cosmic.free_threads == 240
+
+    def test_releases_schedule_no_event(self):
+        prof = profile.activate()
+        try:
+            env = Environment()
+            cosmic = Cosmic(env, XeonPhi(env))
+
+            def run(env):
+                yield cosmic.admit_job(3000)
+                yield cosmic.acquire(240)
+                yield env.timeout(1)
+                cosmic.release(240)
+                cosmic.release_job(3000)
+
+            env.process(run(env))
+            env.run()
+        finally:
+            profile.deactivate()
+        assert "ContainerPut" not in prof.events_scheduled
+        assert prof.events_scheduled["ContainerGet"] == 2
+        assert cosmic.free_declared_memory_mb == 8192
+        assert cosmic.free_threads == 240
 
 
 class TestOffloadGate:

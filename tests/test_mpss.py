@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cosmic import Cosmic, DeclaredMemoryEnforcer
+from repro.obs import trace as obs_trace
 from repro.mpss import (
     COIProcess,
     FREE_TRANSFERS,
@@ -10,7 +11,7 @@ from repro.mpss import (
     SCIFModel,
 )
 from repro.phi import UnmanagedContention, XeonPhi
-from repro.sim import Environment
+from repro.sim import Environment, profile
 from repro.workloads import HostPhase, JobProfile, OffloadPhase
 
 
@@ -261,6 +262,104 @@ class TestOOMPaths:
         env.process(run(env))
         env.run()
         assert results[0].status == "oom-killed"
+        assert phi.resident_memory_mb == 0
+
+
+def _two_offload_job(job_id="j"):
+    # host 1 | xfer-in .5 | offload 2 | xfer-out .5, host 3, xfer-in .5 | ...
+    return JobProfile(
+        job_id=job_id,
+        app="test",
+        phases=(
+            HostPhase(1.0),
+            OffloadPhase(work=2.0, threads=60, memory_mb=5000.0, transfer_mb=100.0),
+            HostPhase(3.0),
+            OffloadPhase(work=1.0, threads=60, memory_mb=5000.0, transfer_mb=100.0),
+        ),
+        declared_memory_mb=5000.0,
+        declared_threads=60,
+    )
+
+
+class TestFusedHostWaits:
+    """Consecutive host-side delays cost one timeout between state changes."""
+
+    SCIF = SCIFModel(latency_s=0.0, bandwidth_mb_per_s=100.0)  # 50 MB: 0.5 s
+
+    def _run(self, env, phi, kill_at=None):
+        runtime = OffloadRuntime(env, phi, scif=self.SCIF)
+        results = []
+
+        def job(env):
+            results.append((yield from runtime.execute(_two_offload_job())))
+
+        def aggressor(env):
+            # Pushes the card past 8 GB: the 5 GB job is the OOM victim.
+            yield env.timeout(kill_at)
+            phi.register_process("aggressor")
+            phi.allocate("aggressor", 4000)
+            phi.unregister_process("aggressor")
+
+        env.process(job(env))
+        if kill_at is not None:
+            env.process(aggressor(env))
+        env.run()
+        return results[0]
+
+    def _mpss_spans(self, tracer):
+        return [(s.name, s.start, s.end) for s in tracer.spans if s.cat == "mpss"]
+
+    def test_one_timeout_per_run_of_host_side_delays(self):
+        prof = profile.activate()
+        try:
+            env = Environment()  # an environment reports to the profiler
+            result = self._run(env, XeonPhi(env))  # active at its creation
+        finally:
+            profile.deactivate()
+        assert result.status == "completed"
+        assert result.end == 1.0 + 0.5 + 2.0 + 0.5 + 3.0 + 0.5 + 1.0 + 0.5
+        # Fused waits: [host, xfer-in], [xfer-out, host, xfer-in],
+        # [xfer-out]; plus the two offloads' device timeouts.
+        assert prof.events_fired["Timeout"] == 5
+
+    def test_traced_spans_cover_every_part_of_a_fused_wait(self, env, phi):
+        tracer = obs_trace.activate()
+        try:
+            self._run(env, phi)
+        finally:
+            obs_trace.deactivate()
+        assert self._mpss_spans(tracer) == [
+            ("host-phase", 0.0, 1.0),
+            ("xfer-in", 1.0, 1.5),
+            ("xfer-out", 3.5, 4.0),
+            ("host-phase", 4.0, 7.0),
+            ("xfer-in", 7.0, 7.5),
+            ("xfer-out", 8.5, 9.0),
+        ]
+        assert [s.args.get("mb") for s in tracer.spans if s.cat == "mpss"] == [
+            None, 50.0, 50.0, None, 50.0, 50.0,
+        ]
+
+    def test_kill_inside_a_fused_wait(self, env, phi):
+        # The kill lands at t=5, inside the host phase of the fused
+        # [xfer-out 3.5-4, host 4-7, xfer-in 7-7.5] wait.
+        tracer = obs_trace.activate()
+        try:
+            result = self._run(env, phi, kill_at=5.0)
+        finally:
+            obs_trace.deactivate()
+        assert result.status == "oom-killed"
+        assert result.end == 5.0
+        assert result.offloads_run == 1
+        # Only the sub-waits that ended before the kill are traced.
+        assert self._mpss_spans(tracer) == [
+            ("host-phase", 0.0, 1.0),
+            ("xfer-in", 1.0, 1.5),
+            ("xfer-out", 3.5, 4.0),
+        ]
+        assert [(i.name, i.time) for i in tracer.instants] == [
+            ("oom-kill", 5.0), ("oom-killed", 5.0),
+        ]
         assert phi.resident_memory_mb == 0
 
 

@@ -80,8 +80,12 @@ NETCHAOS_SMOKE = [
 
 #: SHA-256 of (Chrome trace JSON, metrics summary without the wall-clock
 #: row, audit footer) of the netchaos smoke run at ``REPRO_SCALE=0.25``.
+#: The trace digest was re-pinned when host-side waits fused into one
+#: timeout: ``host-phase``/``xfer-*`` spans are emitted when the fused
+#: wait ends, which swaps three pairs of same-``ts`` host-phase rows of
+#: jobs dispatched together (same rows, same values, new order).
 GOLDEN = (
-    "9773e23d303d86422ba42bea6b102b7fce70567be86af368f02666f2e3dd451d",
+    "fea161609976872de7a93b09ee339b807d7af07f56fec648aaa308b34ade0d41",
     "4f50103bb338acde8f577999f1d426fc0aa9189926ecde7b5a14cd46e92af9c2",
     "648b36818dc62379f0c80f09dfc482c81ccf41fd4beaf8883b96a6245a933061",
 )

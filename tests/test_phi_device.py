@@ -10,7 +10,7 @@ from repro.phi import (
     UnmanagedContention,
     XeonPhi,
 )
-from repro.sim import Environment, Interrupt
+from repro.sim import Environment, Interrupt, profile
 
 
 @pytest.fixture
@@ -133,6 +133,97 @@ class TestOffloadExecution:
 
     def test_repr(self, phi):
         assert "mic0" in repr(phi)
+
+
+def _profiled(scenario):
+    prof = profile.activate()
+    try:
+        return scenario(), prof
+    finally:
+        profile.deactivate()
+
+
+class TestRateChanges:
+    """A rate change moves each sleeper's wake-up; nobody is interrupted."""
+
+    def _staggered(self):
+        env = Environment()
+        phi = XeonPhi(env, contention=UnmanagedContention())
+        log = []
+
+        def job(owner, delay, threads, work):
+            yield env.timeout(delay)
+            phi.register_process(owner)
+            yield from phi.run_offload(owner, threads, work)
+            log.append((owner, env.now))
+            phi.unregister_process(owner)
+
+        for spec in (
+            ("a", 0.0, 240, 10.0),
+            ("b", 0.7, 120, 3.3),
+            ("c", 1.3, 180, 7.1),
+            ("d", 2.9, 240, 2.2),
+            ("e", 4.1, 60, 5.5),
+        ):
+            env.process(job(*spec))
+        env.run()
+        return log
+
+    def test_oversubscribed_overlap_finish_times_are_pinned(self):
+        # Exact floats recorded when every rate change interrupted each
+        # sleeper to re-sleep: moving the wake-up computes the same
+        # ``now + remaining / rate``.
+        assert self._staggered() == [
+            ("d", 120.19974877250411),
+            ("b", 138.85785592996078),
+            ("e", 165.96828157151612),
+            ("c", 174.994299023982),
+            ("a", 177.4716635560017),
+        ]
+
+    def test_rate_changes_fire_no_interruption(self):
+        _, prof = _profiled(self._staggered)
+        assert "Interruption" not in prof.events_fired
+        # 5 starts + 5 finishes, each moving the other sleepers' wake-ups
+        # (20 moves); no resume per move.
+        assert prof.events_fired["Timeout"] == 30
+        assert prof.process_switches == 15
+
+    def test_work_done_at_a_rate_change_finishes_at_that_instant(self):
+        # The sleeper's deadline is the very instant another offload
+        # starts, and the starter runs first: the sleeper's work is done,
+        # so it finishes now, ahead of the instant's other wake-ups.
+        solo = 5.0 / UnmanagedContention().rate(240, PAPER_SPEC)
+
+        def scenario():
+            env = Environment()
+            phi = XeonPhi(env, contention=UnmanagedContention())
+            log = []
+
+            def starter():
+                yield env.timeout(solo)
+                phi.register_process("a")
+                yield from phi.run_offload("a", 240, 1.0)
+                log.append(("a", env.now))
+
+            def sleeper():
+                phi.register_process("b")
+                yield from phi.run_offload("b", 240, 5.0)
+                log.append(("b", env.now))
+
+            def bystander():
+                yield env.timeout(solo)
+                log.append(("c", env.now))
+
+            env.process(starter())
+            env.process(sleeper())
+            env.process(bystander())
+            env.run()
+            return log
+
+        log, prof = _profiled(scenario)
+        assert log == [("b", solo), ("c", solo), ("a", 6.899999999999999)]
+        assert "Interruption" not in prof.events_fired
 
 
 class TestTelemetry:

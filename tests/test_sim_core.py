@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.sim import Environment, SimulationError
+from repro.sim import Environment, SimulationError, Timeout, profile
+from repro.sim.events import URGENT
 
 
 @pytest.fixture
@@ -114,6 +115,69 @@ class TestDeterminism:
         env.run()
         assert seen == [p]
         assert env.active_process is None
+
+
+class TestTimeoutAt:
+    def test_fires_at_exactly_when(self, env):
+        # A sum no ``now + delay`` split reproduces: 0.1 + 0.2 != 0.3.
+        when = 0.1 + 0.2
+        log = []
+
+        def proc(env):
+            yield env.timeout(0.1)
+            yield env.timeout_at(when)
+            log.append(env.now)
+
+        env.process(proc(env))
+        env.run()
+        assert log == [when]
+
+    def test_equals_a_chain_of_timeouts(self, env):
+        delays = (0.1, 0.7, 1e-9, 3.3)
+        chained = []
+
+        def chain(env):
+            for delay in delays:
+                yield env.timeout(delay)
+            chained.append(env.now)
+
+        env.process(chain(env))
+        env.run()
+        due = 0.0
+        for delay in delays:
+            due = due + delay
+        fused = Environment()
+        fused.timeout_at(due)
+        fused.run()
+        assert fused.now == chained[0]
+
+    def test_counted_as_a_scheduled_timeout(self):
+        prof = profile.activate()
+        try:
+            env = Environment()
+            timeout = env.timeout_at(2.0)
+            env.run()
+        finally:
+            profile.deactivate()
+        assert isinstance(timeout, Timeout)
+        assert prof.events_scheduled == {"Timeout": 1}
+        assert prof.events_fired == {"Timeout": 1}
+
+    def test_past_time_rejected(self, env):
+        env.timeout(5)
+        env.run()
+        with pytest.raises(ValueError):
+            env.timeout_at(4.999)
+        env.timeout_at(5.0)  # now itself is allowed
+
+    def test_urgent_fires_before_same_time_normal_events(self, env):
+        order = []
+        env.timeout_at(1.0).callbacks.append(lambda _e: order.append("normal"))
+        env.timeout_at(1.0, priority=URGENT).callbacks.append(
+            lambda _e: order.append("urgent")
+        )
+        env.run()
+        assert order == ["urgent", "normal"]
 
 
 def _ticker(env, period, stop_after=None):

@@ -9,6 +9,7 @@ from repro.sim import (
     SimulationError,
     Timeout,
 )
+from repro.sim.events import URGENT
 
 
 @pytest.fixture
@@ -301,6 +302,126 @@ class TestInterrupts:
         env.process(attacker(env, v))
         env.run()
         assert v.ok
+
+
+class TestMoveWakeup:
+    """A sleeper's wake-up moves to a fresh timeout without resuming it."""
+
+    def test_moved_process_resumes_once_at_the_new_time(self, env):
+        wakes = []
+
+        def sleeper(env):
+            yield env.timeout(10)
+            wakes.append(env.now)
+
+        def mover(env, proc):
+            yield env.timeout(2)
+            proc.move_wakeup(5)  # new deadline: t=7
+
+        p = env.process(sleeper(env))
+        env.process(mover(env, p))
+        env.run()
+        assert wakes == [7]
+        assert env.now == 10  # the stale timeout still fires
+
+    def test_stale_timeout_resumes_nobody(self, env):
+        wakes = []
+
+        def sleeper(env):
+            yield env.timeout(3)
+            wakes.append(env.now)
+
+        p = env.process(sleeper(env))
+        env.run(until=1)
+        stale = p.target
+        p.move_wakeup(6)
+        assert p.target is not stale
+        assert p._resume in p.target.callbacks
+        assert p._resume not in stale.callbacks
+        env.run()
+        assert stale.processed
+        assert wakes == [7]
+
+    def test_move_can_be_repeated(self, env):
+        wakes = []
+
+        def sleeper(env):
+            yield env.timeout(10)
+            wakes.append(env.now)
+
+        p = env.process(sleeper(env))
+        env.run(until=1)
+        p.move_wakeup(1)
+        p.move_wakeup(4)
+        env.run()
+        assert wakes == [5]
+
+    def test_interrupt_after_a_move_detaches_and_delivers_once(self, env):
+        log = []
+
+        def sleeper(env):
+            try:
+                yield env.timeout(10)
+                log.append(("woke", env.now))
+            except Interrupt as interrupt:
+                log.append((interrupt.cause, env.now))
+            yield env.timeout(20)
+            log.append(("done", env.now))
+
+        def mover(env, proc):
+            yield env.timeout(1)
+            proc.move_wakeup(2)  # t=3
+            proc.interrupt("kill")  # lands at t=1, after the move
+
+        p = env.process(sleeper(env))
+        env.process(mover(env, p))
+        env.run()
+        # Neither the moved timeout (t=3) nor the stale one (t=10)
+        # resumes the process a second time.
+        assert log == [("kill", 1), ("done", 21)]
+
+    def test_urgent_move_wakes_ahead_of_same_time_events(self, env):
+        order = []
+
+        def sleeper(env):
+            yield env.timeout(10)
+            order.append(("sleeper", env.now))
+
+        def bystander(env):
+            yield env.timeout(1)
+            order.append(("bystander", env.now))
+
+        p = env.process(sleeper(env))
+        env.process(bystander(env))
+        env.run(until=0.5)
+        # At t=1, ahead of the bystander, the sleeper's work turns out done.
+        trigger = env.timeout_at(1.0, priority=URGENT)
+        trigger.callbacks.append(lambda _e: p.move_wakeup(0.0, URGENT))
+        env.run()
+        assert order == [("sleeper", 1), ("bystander", 1)]
+
+    def test_only_a_timeout_sleeper_can_move(self, env):
+        gate = env.event()
+
+        def waiter(env):
+            yield gate
+
+        p = env.process(waiter(env))
+        env.run()
+        with pytest.raises(SimulationError):
+            p.move_wakeup(1)
+        with pytest.raises(SimulationError):
+            env.process(waiter(env)).move_wakeup(1)  # not started yet
+
+    def test_negative_delay_rejected(self, env):
+        def sleeper(env):
+            yield env.timeout(5)
+
+        p = env.process(sleeper(env))
+        env.run(until=1)
+        with pytest.raises(ValueError):
+            p.move_wakeup(-1)
+        assert p._resume in p.target.callbacks
 
 
 class TestEventHelpers:

@@ -216,3 +216,37 @@ class TestContainer:
         # FIFO: the big request is served first even though the small one
         # could have been satisfied earlier.
         assert log == ["big", "small"]
+
+    def test_release_returns_capacity_without_an_event(self, env):
+        tank = Container(env, capacity=100, init=100)
+        log = []
+
+        def holder(env):
+            yield tank.get(70)
+            yield env.timeout(2)
+            queued_before = len(env._queue)
+            tank.release(70)
+            assert tank.level == 100 - 60  # the waiter drained at once
+            # One URGENT grant for the waiter, no deposit event.
+            assert len(env._queue) == queued_before + 1
+
+        def waiter(env):
+            yield env.timeout(1)
+            yield tank.get(60)
+            log.append(env.now)
+
+        env.process(holder(env))
+        env.process(waiter(env))
+        env.run()
+        assert log == [2]
+        assert tank.level == 40
+
+    def test_release_never_overfills(self, env):
+        tank = Container(env, capacity=10, init=8)
+        with pytest.raises(ValueError):
+            tank.release(3)
+        with pytest.raises(ValueError):
+            tank.release(0)
+        assert tank.level == 8
+        tank.release(2)
+        assert tank.level == 10
