@@ -60,7 +60,7 @@ def test_bench_ext_replication(benchmark, scale, record_result):
 
     result = benchmark.pedantic(
         ext_replication.run,
-        kwargs=dict(jobs=scaled(400, scale), seeds=(42, 43, 44)),
+        kwargs=dict(jobs=scaled(400, scale), replicas=3),
         rounds=1,
         iterations=1,
     )

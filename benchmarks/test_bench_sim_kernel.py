@@ -23,8 +23,8 @@ import time
 
 from conftest import bench_record
 
-from repro.experiments.fig8 import tasks as fig8_tasks
-from repro.experiments.runner import compute_task
+from repro.experiments import fig8
+from repro.experiments.runner import compute_task, plan
 from repro.sim import Environment
 
 #: Pre-overhaul numbers on the reference machine (best of 5).
@@ -63,7 +63,7 @@ def _microbench_events_per_sec() -> tuple[float, int]:
 
 def _fig8_cell():
     """The MCCK/normal 400-job cell (the paper-scale fig8 workhorse)."""
-    for task in fig8_tasks(jobs=400):
+    for task in plan(fig8, jobs=400).tasks:
         params = dict(task.params)
         workload = params.get("workload")
         if params.get("configuration") == "MCCK" and workload[2] == "normal":

@@ -31,144 +31,57 @@ from typing import Optional, Sequence
 
 from .experiments import EXPERIMENTS
 from .experiments.cache import ResultCache
-from .experiments.common import bench_scale, save_result, scaled
-from .experiments.runner import CellOutcome, SimTask, TaskRunner, count_summary
-
-#: Paper-scale job counts per experiment (used with --full).
-_FULL_JOBS = {
-    "motivation": 1000,
-    "table2": 1000,
-    "table3": 400,
-    "fig7": 400,
-    "fig8": 400,
-    "fig9": 400,
-    "fig10": None,  # scales with cluster size by construction
-    "ablation-value": 400,
-    "ablation-knapsack": 400,
-    "ablation-cycle": 400,
-    "ablation-placement": 400,
-    "ext-capacity": 400,
-    "ext-crash": 200,
-    "ext-faults": 200,
-    "ext-multidevice": 400,
-    "ext-netchaos": 200,
-    "ext-oversubscription": None,
-    "ext-replication": 400,
-    "ext-scale": 400,
-}
-
-#: Quick job counts (default).
-_QUICK_JOBS = {
-    "motivation": 250,
-    "table2": 250,
-    "table3": 120,
-    "fig7": 400,  # input-only, cheap
-    "fig8": 120,
-    "fig9": 120,
-    "fig10": None,
-    "ablation-value": 120,
-    "ablation-knapsack": 120,
-    "ablation-cycle": 120,
-    "ablation-placement": 120,
-    "ext-capacity": 120,
-    "ext-crash": 60,
-    "ext-faults": 60,
-    "ext-multidevice": 120,
-    "ext-netchaos": 60,
-    "ext-oversubscription": None,
-    "ext-replication": 60,
-    "ext-scale": 64,
-}
+from .experiments.common import bench_scale, save_result
+from .experiments.runner import CellOutcome, TaskRunner, count_summary, plan
 
 #: Experiments excluded from ``all``: ext-scale's rendered output
 #: includes host wall-clock and RSS, which would break the guarantee
 #: that ``all`` output is byte-identical across runs and worker counts.
 _NOT_IN_ALL = frozenset({"ext-scale"})
 
-#: Which experiments consume each experiment-specific flag. A flag
-#: passed with a selection that includes no consumer is an error (the
-#: run would silently ignore it); a selection that merely includes
-#: non-consumers too (e.g. ``all``) gets a warning.
-_FLAG_CONSUMERS = {
-    "--fault-rate": {"ext-faults"},
-    "--net-loss": {"ext-netchaos"},
-    "--net-delay": {"ext-netchaos"},
-    "--net-partition": {"ext-netchaos"},
-    "--daemon-crash-rate": {"ext-crash"},
-    "--crash": {"ext-crash"},
+#: Experiment-specific flags: flag -> (the experiment that consumes it,
+#: the parameter it sets). A flag passed with a selection that does not
+#: include its consumer is an error (the run would silently ignore it);
+#: a selection that merely includes other experiments too (e.g. ``all``)
+#: gets a warning.
+_FLAG_PARAMS = {
+    "--fault-rate": ("ext-faults", "rates"),
+    "--net-loss": ("ext-netchaos", "losses"),
+    "--net-delay": ("ext-netchaos", "delay_s"),
+    "--net-partition": ("ext-netchaos", "partitions"),
+    "--daemon-crash-rate": ("ext-crash", "rates"),
+    "--crash": ("ext-crash", "crashes"),
 }
-
-#: fig10's per-node pressure at scale 1.0 (see the module).
-_FIG10_JOBS_PER_NODE = 200
 
 #: How many per-cell timing lines to print before switching to the
 #: slowest-only view.
 _MAX_CELL_LINES = 12
 
 
-def _experiment_kwargs(
+def _overrides(
     name: str,
-    jobs: Optional[int],
+    job_count: Optional[int],
     seed: int,
     scale: float,
-    fault_rates: Optional[Sequence[float]] = None,
-    net_losses: Optional[Sequence[float]] = None,
-    net_delay: Optional[float] = None,
-    net_partitions: Sequence = (),
-    crash_rates: Optional[Sequence[float]] = None,
-    crashes: Sequence = (),
+    full: bool = False,
+    flags: Optional[dict] = None,
 ) -> dict:
-    """Keyword arguments for one experiment's task grid.
+    """One experiment's parameter overrides from the command line.
 
-    ``jobs`` is the explicit ``--job-count`` override; otherwise the
-    quick/full table entry scaled by ``REPRO_SCALE``. ``fault_rates``
-    (from ``--fault-rate``) only applies to ext-faults; the ``--net-*``
-    knobs only to ext-netchaos; ``--daemon-crash-rate`` / ``--crash``
-    only to ext-crash (see ``_FLAG_CONSUMERS``).
+    ``job_count`` is the explicit ``--job-count``; otherwise the
+    module's quick or ``--full`` count scaled by ``REPRO_SCALE``.
+    ``flags`` maps each experiment-specific flag that was passed to
+    its value; only the flag's consumer takes it (see ``_FLAG_PARAMS``).
     """
-    kwargs: dict = {"seed": seed}
-    if name == "ext-faults" and fault_rates:
-        kwargs["rates"] = tuple(fault_rates)
-    if name == "ext-crash":
-        if crash_rates:
-            kwargs["rates"] = tuple(crash_rates)
-        if crashes:
-            kwargs["crashes"] = tuple(crashes)
-    if name == "ext-netchaos":
-        if net_losses:
-            kwargs["losses"] = tuple(net_losses)
-        if net_partitions:
-            kwargs["partitions"] = tuple(net_partitions)
-        if net_delay is not None:
-            kwargs["delay_s"] = net_delay
-    if name == "ext-oversubscription":
-        return kwargs  # exact experiment: no job count to scale
-    if jobs is not None:
-        if name == "fig10":
-            kwargs["jobs_per_node"] = max(1, jobs // 8)
-        elif name == "motivation":
-            kwargs["real_jobs"] = jobs
-            kwargs["synthetic_jobs"] = max(8, int(jobs * 0.4))
-        else:
-            kwargs["jobs"] = jobs
-    elif name == "fig10" and scale != 1.0:
-        kwargs["jobs_per_node"] = max(2, round(_FIG10_JOBS_PER_NODE * scale))
-    return kwargs
-
-
-def _grid_for(name: str, kwargs: dict) -> list[SimTask]:
-    """An experiment's cell grid; whole-run task for grid-less modules."""
     module = EXPERIMENTS[name]
-    if hasattr(module, "tasks"):
-        return module.tasks(**kwargs)
-    return [SimTask.make(name, f"run:{name}", label="run", **kwargs)]
-
-
-def _merge(name: str, kwargs: dict, outcomes: Sequence[CellOutcome]):
-    module = EXPERIMENTS[name]
-    if hasattr(module, "merge"):
-        return module.merge([o.value for o in outcomes], **kwargs)
-    return outcomes[0].value
+    overrides = {"seed": seed} if "seed" in module.PARAMS else {}
+    if module.JOBS is not None:
+        overrides.update(module.JOBS.overrides(job_count, full, scale))
+    for flag, value in (flags or {}).items():
+        consumer, param = _FLAG_PARAMS[flag]
+        if consumer == name:
+            overrides[param] = tuple(value) if isinstance(value, list) else value
+    return overrides
 
 
 def _cell_lines(name: str, outcomes: Sequence[CellOutcome]) -> list[str]:
@@ -185,10 +98,9 @@ def _cell_lines(name: str, outcomes: Sequence[CellOutcome]) -> list[str]:
         return [line(o) for o in outcomes]
     slowest = sorted(outcomes, key=lambda o: o.seconds, reverse=True)
     shown = slowest[:_MAX_CELL_LINES - 2]
-    cached = sum(1 for o in outcomes if o.cached)
     return [
         f"[  {name}: slowest {len(shown)} of {len(outcomes)} cells "
-        f"({cached} cached):]",
+        f"({count_summary(outcomes)}):]",
         *[line(o) for o in shown],
     ]
 
@@ -307,7 +219,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error("--net-delay must be non-negative")
     if args.crash_rates and any(rate < 0 for rate in args.crash_rates):
         parser.error("--daemon-crash-rate must be non-negative")
-    crashes = ()
+    crashes = None
     if args.crashes:
         from .faults import parse_crash
 
@@ -315,7 +227,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             crashes = tuple(parse_crash(spec) for spec in args.crashes)
         except ValueError as exc:
             parser.error(f"--crash: {exc}")
-    partitions = ()
+    partitions = None
     if args.net_partitions:
         from .net import parse_partition
 
@@ -331,28 +243,29 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.experiment == "all"
         else {args.experiment}
     )
-    passed_flags = {
-        "--fault-rate": bool(args.fault_rates),
-        "--net-loss": bool(args.net_losses),
-        "--net-delay": args.net_delay is not None,
-        "--net-partition": bool(args.net_partitions),
-        "--daemon-crash-rate": bool(args.crash_rates),
-        "--crash": bool(args.crashes),
+    passed = {
+        flag: value
+        for flag, value in (
+            ("--fault-rate", args.fault_rates),
+            ("--net-loss", args.net_losses),
+            ("--net-delay", args.net_delay),
+            ("--net-partition", partitions),
+            ("--daemon-crash-rate", args.crash_rates),
+            ("--crash", crashes),
+        )
+        if value is not None
     }
-    for flag, on in passed_flags.items():
-        if not on:
-            continue
-        consumers = _FLAG_CONSUMERS[flag]
-        if not requested & consumers:
+    for flag in passed:
+        consumer = _FLAG_PARAMS[flag][0]
+        if consumer not in requested:
             parser.error(
-                f"{flag} only applies to {'/'.join(sorted(consumers))}, "
+                f"{flag} only applies to {consumer}, "
                 f"which the requested selection does not include"
             )
-        if requested - consumers:
+        if requested != {consumer}:
             print(
-                f"[warning: {flag} only affects "
-                f"{'/'.join(sorted(consumers))}; the other requested "
-                f"experiments ignore it]",
+                f"[warning: {flag} only affects {consumer}; the other "
+                f"requested experiments ignore it]",
                 file=sys.stderr,
             )
 
@@ -391,24 +304,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.experiment == "all"
         else [args.experiment]
     )
-    table = _FULL_JOBS if args.full else _QUICK_JOBS
     scale = bench_scale(default=1.0)
-
-    plans = []
-    for name in names:
-        base = args.job_count
-        if base is None and table[name] is not None:
-            base = scaled(table[name], scale) if scale != 1.0 else table[name]
-        kwargs = _experiment_kwargs(
-            name, base, args.seed, scale,
-            fault_rates=args.fault_rates,
-            net_losses=args.net_losses,
-            net_delay=args.net_delay,
-            net_partitions=partitions,
-            crash_rates=args.crash_rates,
-            crashes=crashes,
+    plans = [
+        plan(
+            EXPERIMENTS[name],
+            **_overrides(
+                name, args.job_count, args.seed, scale, args.full, passed
+            ),
         )
-        plans.append((name, kwargs, _grid_for(name, kwargs)))
+        for name in names
+    ]
 
     profiler = None
     if args.profile:
@@ -433,9 +338,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     started = time.perf_counter()
     try:
-        outcomes = runner.map_tasks(
-            [task for _, _, grid in plans for task in grid]
-        )
+        outcomes = runner.map_tasks([task for p in plans for task in p.tasks])
     finally:
         if profiler is not None:
             from .sim import profile as sim_profile
@@ -456,16 +359,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     wall = time.perf_counter() - started
 
     offset = 0
-    for name, kwargs, grid in plans:
-        cell_outcomes = outcomes[offset:offset + len(grid)]
-        offset += len(grid)
-        text = EXPERIMENTS[name].render(_merge(name, kwargs, cell_outcomes))
+    for name, grid in zip(names, plans):
+        cell_outcomes = outcomes[offset:offset + len(grid.tasks)]
+        offset += len(grid.tasks)
+        text = EXPERIMENTS[name].render(
+            grid.result([o.value for o in cell_outcomes])
+        )
         print(text)
         if args.save:
             save_result(name, text)
         cell_seconds = sum(o.seconds for o in cell_outcomes)
         print(
-            f"[{name}: {cell_seconds:.1f}s cell-time, {len(grid)} cells "
+            f"[{name}: {cell_seconds:.1f}s cell-time, {len(grid.tasks)} cells "
             f"({count_summary(cell_outcomes)})]"
         )
         for line in _cell_lines(name, cell_outcomes):

@@ -6,13 +6,14 @@ Run from the command line::
     python -m repro.experiments all
     python -m repro.experiments all --jobs 4   # process-pool fan-out
 
-Each module exposes ``run(...)`` returning a structured result and
-``render(result)`` producing the paper-style rows. Grid-based modules
-additionally expose ``tasks(...)`` (the picklable cell grid) and
-``merge(values, ...)`` so :mod:`repro.experiments.runner` can fan the
-cells out over worker processes and serve repeats from the
-content-addressed cache in :mod:`repro.experiments.cache`.
+Each module declares its default ``PARAMS``, its ``JOBS`` sizes, its
+ordered cell ``keys``, a ``cell`` builder, a ``result`` that reads cell
+values by key, and ``render`` (see :mod:`repro.experiments.runner`).
+The registry binds the runner's one generic run to each module as
+``run(**overrides, runner=None)``.
 """
+
+import functools
 
 from . import (
     cache,
@@ -63,6 +64,9 @@ EXPERIMENTS = {
     "ext-replication": ext_replication,
     "ext-scale": ext_scale,
 }
+
+for _module in EXPERIMENTS.values():
+    _module.run = functools.partial(runner.run_experiment, _module)
 
 __all__ = [
     "EXPERIMENTS",

@@ -10,98 +10,69 @@ and high-skew sets to quantify that integration overhead.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
+from itertools import product
 
-from ..cluster import ClusterConfig
 from ..metrics import format_series
 from .common import DEFAULT_SEED, PAPER_CLUSTER
-from .runner import SimTask, TaskRunner, execute, sim_task
+from .runner import JobCounts, SimTask, sim_task
 
 DEFAULT_INTERVALS = (2.0, 5.0, 10.0, 20.0, 40.0)
 
-_SERIES = ("MCC", "MCCK", "MCCK+resched")
+#: series -> the configuration it runs.
+_SERIES = {"MCC": "MCC", "MCCK": "MCCK", "MCCK+resched": "MCCK"}
 
 
 @dataclass
 class CycleAblationResult:
     job_count: int
+    nodes: int
     intervals: tuple[float, ...]
     #: makespans[distribution][configuration] -> aligned with intervals
     makespans: dict[str, dict[str, list[float]]]
 
 
-def tasks(
-    jobs: int = 400,
-    intervals: tuple[float, ...] = DEFAULT_INTERVALS,
-    config: ClusterConfig = PAPER_CLUSTER,
-    seed: int = DEFAULT_SEED,
-    distributions: tuple[str, ...] = ("normal", "high-skew"),
-) -> list[SimTask]:
-    grid: list[SimTask] = []
-    for distribution in distributions:
-        workload = ("synthetic", jobs, distribution, seed)
-        for interval in intervals:
-            tuned = replace(config, cycle_interval=interval)
-            # condor_reschedule: completions trigger extra cycles, which
-            # should largely flatten MCCK's sensitivity to the interval.
-            resched = replace(tuned, reschedule_on_completion=True)
-            for name, configuration, cell_config in (
-                ("MCC", "MCC", tuned),
-                ("MCCK", "MCCK", tuned),
-                ("MCCK+resched", "MCCK", resched),
-            ):
-                grid.append(
-                    sim_task(
-                        "ablation-cycle", configuration, cell_config, workload,
-                        label=f"{distribution}/{name}@{interval:g}s",
-                    )
-                )
-    return grid
+PARAMS = dict(
+    jobs=400, intervals=DEFAULT_INTERVALS, config=PAPER_CLUSTER,
+    seed=DEFAULT_SEED, distributions=("normal", "high-skew"),
+)
+JOBS = JobCounts(quick=120, full=400)
 
 
-def merge(
-    values: list,
-    jobs: int = 400,
-    intervals: tuple[float, ...] = DEFAULT_INTERVALS,
-    config: ClusterConfig = PAPER_CLUSTER,
-    seed: int = DEFAULT_SEED,
-    distributions: tuple[str, ...] = ("normal", "high-skew"),
-) -> CycleAblationResult:
-    cursor = iter(values)
-    makespans: dict[str, dict[str, list[float]]] = {}
-    for distribution in distributions:
-        series: dict[str, list[float]] = {name: [] for name in _SERIES}
-        for _interval in intervals:
-            for name in _SERIES:
-                series[name].append(next(cursor)["makespan"])
-        makespans[distribution] = series
+def keys(p):
+    return product(p.distributions, p.intervals, _SERIES)
+
+
+def cell(p, distribution: str, interval: float, series: str) -> SimTask:
+    config = replace(p.config, cycle_interval=interval)
+    if series == "MCCK+resched":
+        # condor_reschedule: completions trigger extra cycles, which
+        # should largely flatten MCCK's sensitivity to the interval.
+        config = replace(config, reschedule_on_completion=True)
+    return sim_task(
+        "ablation-cycle", _SERIES[series], config,
+        ("synthetic", p.jobs, distribution, p.seed),
+        label=f"{distribution}/{series}@{interval:g}s",
+    )
+
+
+def result(p, cells: dict) -> CycleAblationResult:
+    makespans = {
+        d: {
+            series: [cells[d, i, series]["makespan"] for i in p.intervals]
+            for series in _SERIES
+        }
+        for d in p.distributions
+    }
     return CycleAblationResult(
-        job_count=jobs, intervals=intervals, makespans=makespans
-    )
-
-
-def run(
-    jobs: int = 400,
-    intervals: tuple[float, ...] = DEFAULT_INTERVALS,
-    config: ClusterConfig = PAPER_CLUSTER,
-    seed: int = DEFAULT_SEED,
-    distributions: tuple[str, ...] = ("normal", "high-skew"),
-    runner: Optional[TaskRunner] = None,
-) -> CycleAblationResult:
-    grid = tasks(
-        jobs=jobs, intervals=intervals, config=config, seed=seed,
-        distributions=distributions,
-    )
-    values = execute(grid, runner)
-    return merge(
-        values, jobs=jobs, intervals=intervals, config=config, seed=seed,
-        distributions=distributions,
+        job_count=p.jobs, nodes=p.config.nodes, intervals=p.intervals,
+        makespans=makespans,
     )
 
 
 def render(result: CycleAblationResult) -> str:
     blocks = [
-        f"A3: makespan vs negotiation-cycle interval ({result.job_count} jobs, 8 nodes)"
+        f"A3: makespan vs negotiation-cycle interval "
+        f"({result.job_count} jobs, {result.nodes} nodes)"
     ]
     for distribution, series in result.makespans.items():
         blocks.append(

@@ -13,13 +13,13 @@ choice, not a safety requirement. This ablation compares:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from itertools import product
 
-from ..cluster import ClusterConfig, run_mcck
+from ..cluster import run_mcck
 from ..core import DevicePacker
 from ..metrics import format_table
-from .common import DEFAULT_SEED, PAPER_CLUSTER, make_workload
-from .runner import SimTask, TaskRunner, execute
+from .common import DEFAULT_SEED, PAPER_CLUSTER, make_workload, workload_spec
+from .runner import JobCounts, SimTask
 
 _WORKLOADS = ("table1", "normal")
 
@@ -32,34 +32,29 @@ _VARIANTS = {
 }
 
 
-def _workload_spec(workload: str, jobs: int, seed: int) -> tuple:
-    if workload == "table1":
-        return ("table1", jobs, seed)
-    return ("synthetic", jobs, workload, seed)
-
-
 @dataclass
 class KnapsackAblationResult:
     job_count: int
+    nodes: int
     makespans: dict[str, dict[str, float]]  # variant -> workload -> seconds
 
 
-def tasks(
-    jobs: int = 400,
-    config: ClusterConfig = PAPER_CLUSTER,
-    seed: int = DEFAULT_SEED,
-) -> list[SimTask]:
-    return [
-        SimTask.make(
-            "ablation-knapsack", "ablation-knapsack.cell",
-            label=f"{variant}/{workload}",
-            variant=variant,
-            config=config,
-            workload=_workload_spec(workload, jobs, seed),
-        )
-        for variant in _VARIANTS
-        for workload in _WORKLOADS
-    ]
+PARAMS = dict(jobs=400, config=PAPER_CLUSTER, seed=DEFAULT_SEED)
+JOBS = JobCounts(quick=120, full=400)
+
+
+def keys(p):
+    return product(_VARIANTS, _WORKLOADS)
+
+
+def cell(p, variant: str, workload: str) -> SimTask:
+    return SimTask.make(
+        "ablation-knapsack", "ablation-knapsack.cell",
+        label=f"{variant}/{workload}",
+        variant=variant,
+        config=p.config,
+        workload=workload_spec(workload, p.jobs, p.seed),
+    )
 
 
 def compute(task: SimTask) -> float:
@@ -74,29 +69,13 @@ def compute(task: SimTask) -> float:
     ).makespan
 
 
-def merge(
-    values: list,
-    jobs: int = 400,
-    config: ClusterConfig = PAPER_CLUSTER,
-    seed: int = DEFAULT_SEED,
-) -> KnapsackAblationResult:
-    cursor = iter(values)
+def result(p, cells: dict) -> KnapsackAblationResult:
     makespans = {
-        variant: {workload: next(cursor) for workload in _WORKLOADS}
-        for variant in _VARIANTS
+        v: {w: cells[v, w] for w in _WORKLOADS} for v in _VARIANTS
     }
-    return KnapsackAblationResult(job_count=jobs, makespans=makespans)
-
-
-def run(
-    jobs: int = 400,
-    config: ClusterConfig = PAPER_CLUSTER,
-    seed: int = DEFAULT_SEED,
-    runner: Optional[TaskRunner] = None,
-) -> KnapsackAblationResult:
-    grid = tasks(jobs=jobs, config=config, seed=seed)
-    values = execute(grid, runner)
-    return merge(values, jobs=jobs, config=config, seed=seed)
+    return KnapsackAblationResult(
+        job_count=p.jobs, nodes=p.config.nodes, makespans=makespans
+    )
 
 
 def render(result: KnapsackAblationResult) -> str:
@@ -109,6 +88,6 @@ def render(result: KnapsackAblationResult) -> str:
         rows,
         title=(
             f"A2: MCCK makespan by knapsack constraint variant "
-            f"({result.job_count} jobs, 8 nodes)"
+            f"({result.job_count} jobs, {result.nodes} nodes)"
         ),
     )

@@ -12,18 +12,11 @@ cluster-level intelligence, all over identical COSMIC nodes:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
-from ..cluster import (
-    ClusterConfig,
-    run_best_fit,
-    run_mcc,
-    run_mc,
-    run_mcck,
-)
+from ..cluster import run_best_fit, run_mc, run_mcc, run_mcck
 from ..metrics import format_table, percent_reduction
 from .common import DEFAULT_SEED, PAPER_CLUSTER, make_workload
-from .runner import SimTask, TaskRunner, execute
+from .runner import JobCounts, SimTask
 
 #: policy name -> runner; rebuilt in the worker from the policy name.
 _POLICIES = {
@@ -40,27 +33,29 @@ _POLICIES = {
 @dataclass
 class PlacementAblationResult:
     job_count: int
+    nodes: int
     makespans: dict[str, float]
 
     def reduction(self, name: str) -> float:
         return percent_reduction(self.makespans["MC"], self.makespans[name])
 
 
-def tasks(
-    jobs: int = 400,
-    config: ClusterConfig = PAPER_CLUSTER,
-    seed: int = DEFAULT_SEED,
-) -> list[SimTask]:
-    return [
-        SimTask.make(
-            "ablation-placement", "ablation-placement.cell",
-            label=policy,
-            policy=policy,
-            config=config,
-            workload=("table1", jobs, seed),
-        )
-        for policy in _POLICIES
-    ]
+PARAMS = dict(jobs=400, config=PAPER_CLUSTER, seed=DEFAULT_SEED)
+JOBS = JobCounts(quick=120, full=400)
+
+
+def keys(p):
+    return [(policy,) for policy in _POLICIES]
+
+
+def cell(p, policy: str) -> SimTask:
+    return SimTask.make(
+        "ablation-placement", "ablation-placement.cell",
+        label=policy,
+        policy=policy,
+        config=p.config,
+        workload=("table1", p.jobs, p.seed),
+    )
 
 
 def compute(task: SimTask) -> float:
@@ -69,25 +64,11 @@ def compute(task: SimTask) -> float:
     return _POLICIES[p["policy"]](job_set, p["config"]).makespan
 
 
-def merge(
-    values: list,
-    jobs: int = 400,
-    config: ClusterConfig = PAPER_CLUSTER,
-    seed: int = DEFAULT_SEED,
-) -> PlacementAblationResult:
-    makespans = dict(zip(_POLICIES, values))
-    return PlacementAblationResult(job_count=jobs, makespans=makespans)
-
-
-def run(
-    jobs: int = 400,
-    config: ClusterConfig = PAPER_CLUSTER,
-    seed: int = DEFAULT_SEED,
-    runner: Optional[TaskRunner] = None,
-) -> PlacementAblationResult:
-    grid = tasks(jobs=jobs, config=config, seed=seed)
-    values = execute(grid, runner)
-    return merge(values, jobs=jobs, config=config, seed=seed)
+def result(p, cells: dict) -> PlacementAblationResult:
+    return PlacementAblationResult(
+        job_count=p.jobs, nodes=p.config.nodes,
+        makespans={policy: cells[policy,] for policy in _POLICIES},
+    )
 
 
 def render(result: PlacementAblationResult) -> str:
@@ -100,6 +81,7 @@ def render(result: PlacementAblationResult) -> str:
         rows,
         title=(
             f"A4: makespan by cluster-level placement policy "
-            f"({result.job_count} Table-I jobs, 8 nodes, COSMIC everywhere)"
+            f"({result.job_count} Table-I jobs, {result.nodes} nodes, "
+            "COSMIC everywhere)"
         ),
     )

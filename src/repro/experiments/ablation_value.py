@@ -9,48 +9,44 @@ and measures MCCK makespan on the real mix and a normal synthetic set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from itertools import product
 
-from ..cluster import ClusterConfig, run_mcck
+from ..cluster import run_mcck
 from ..core import DevicePacker, get_value_function, value_function_names
 from ..metrics import format_table
-from .common import DEFAULT_SEED, PAPER_CLUSTER, make_workload
-from .runner import SimTask, TaskRunner, execute
+from .common import DEFAULT_SEED, PAPER_CLUSTER, make_workload, workload_spec
+from .runner import JobCounts, SimTask
 
 _WORKLOADS = ("table1", "normal")
-
-
-def _workload_spec(workload: str, jobs: int, seed: int) -> tuple:
-    if workload == "table1":
-        return ("table1", jobs, seed)
-    return ("synthetic", jobs, workload, seed)
 
 
 @dataclass
 class ValueAblationResult:
     job_count: int
+    nodes: int
     #: makespans[value_fn_name][workload] -> seconds
     makespans: dict[str, dict[str, float]]
 
 
-def tasks(
-    jobs: int = 400,
-    config: ClusterConfig = PAPER_CLUSTER,
-    seed: int = DEFAULT_SEED,
-    thread_capacity: int | None = 240,
-) -> list[SimTask]:
-    return [
-        SimTask.make(
-            "ablation-value", "ablation-value.cell",
-            label=f"{name}/{workload}",
-            value_fn=name,
-            thread_capacity=thread_capacity,
-            config=config,
-            workload=_workload_spec(workload, jobs, seed),
-        )
-        for name in value_function_names()
-        for workload in _WORKLOADS
-    ]
+PARAMS = dict(
+    jobs=400, config=PAPER_CLUSTER, seed=DEFAULT_SEED, thread_capacity=240
+)
+JOBS = JobCounts(quick=120, full=400)
+
+
+def keys(p):
+    return product(value_function_names(), _WORKLOADS)
+
+
+def cell(p, name: str, workload: str) -> SimTask:
+    return SimTask.make(
+        "ablation-value", "ablation-value.cell",
+        label=f"{name}/{workload}",
+        value_fn=name,
+        thread_capacity=p.thread_capacity,
+        config=p.config,
+        workload=workload_spec(workload, p.jobs, p.seed),
+    )
 
 
 def compute(task: SimTask) -> float:
@@ -63,35 +59,13 @@ def compute(task: SimTask) -> float:
     return run_mcck(job_set, p["config"], packer=packer).makespan
 
 
-def merge(
-    values: list,
-    jobs: int = 400,
-    config: ClusterConfig = PAPER_CLUSTER,
-    seed: int = DEFAULT_SEED,
-    thread_capacity: int | None = 240,
-) -> ValueAblationResult:
-    cursor = iter(values)
+def result(p, cells: dict) -> ValueAblationResult:
     makespans = {
-        name: {workload: next(cursor) for workload in _WORKLOADS}
+        name: {w: cells[name, w] for w in _WORKLOADS}
         for name in value_function_names()
     }
-    return ValueAblationResult(job_count=jobs, makespans=makespans)
-
-
-def run(
-    jobs: int = 400,
-    config: ClusterConfig = PAPER_CLUSTER,
-    seed: int = DEFAULT_SEED,
-    thread_capacity: int | None = 240,
-    runner: Optional[TaskRunner] = None,
-) -> ValueAblationResult:
-    grid = tasks(
-        jobs=jobs, config=config, seed=seed, thread_capacity=thread_capacity
-    )
-    values = execute(grid, runner)
-    return merge(
-        values, jobs=jobs, config=config, seed=seed,
-        thread_capacity=thread_capacity,
+    return ValueAblationResult(
+        job_count=p.jobs, nodes=p.config.nodes, makespans=makespans
     )
 
 
@@ -105,6 +79,6 @@ def render(result: ValueAblationResult) -> str:
         rows,
         title=(
             f"A1: MCCK makespan by knapsack value function "
-            f"({result.job_count} jobs, 8 nodes)"
+            f"({result.job_count} jobs, {result.nodes} nodes)"
         ),
     )

@@ -9,10 +9,11 @@ numbers in EXPERIMENTS.md use ``scale=1.0``).
 from __future__ import annotations
 
 import os
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence, Tuple
 
-from ..cluster import ClusterConfig
+from ..cluster import CONFIGURATIONS, ClusterConfig
 from ..workloads.profiles import JobProfile
 
 #: The paper's evaluation platform: 8 nodes, 1 Phi (8 GB) per node.
@@ -38,11 +39,6 @@ def results_dir() -> Path:
     if (repo / "pyproject.toml").exists():
         return repo / "benchmarks" / "results"
     return Path.cwd() / "benchmarks" / "results"
-
-
-#: Snapshot of :func:`results_dir` at import (kept for backwards
-#: compatibility; ``save_result`` re-resolves so env changes win).
-RESULTS_DIR = results_dir()
 
 
 def bench_scale(default: float = 1.0) -> float:
@@ -82,6 +78,13 @@ def save_result(name: str, text: str) -> Path:
     return path
 
 
+def workload_spec(workload: str, jobs: int, seed: int) -> Tuple:
+    """The spec of the Table-I mix (``"table1"``) or a synthetic set."""
+    if workload == "table1":
+        return ("table1", jobs, seed)
+    return ("synthetic", jobs, workload, seed)
+
+
 def make_workload(spec: Tuple) -> Sequence[JobProfile]:
     """Rebuild a job set from its picklable spec.
 
@@ -101,3 +104,41 @@ def make_workload(spec: Tuple) -> Sequence[JobProfile]:
         _, count, distribution, seed = spec
         return generate_synthetic_jobs(count, distribution, seed=seed)
     raise ValueError(f"unknown workload spec {spec!r}")
+
+
+@dataclass
+class GoodputResult:
+    """An MC/MCC/MCCK sweep over rates that keeps every cell's counters."""
+
+    job_count: int
+    nodes: int
+    #: The swept values (fault rates, crash rates, loss probabilities).
+    points: tuple[float, ...]
+    #: configuration -> per-point cell dicts (aligned with ``points``).
+    cells: dict[str, list[dict]]
+
+    @classmethod
+    def from_cells(cls, p, points: Sequence[float], cells: dict) -> "GoodputResult":
+        """Read the ``(point, configuration)``-keyed cells of a sweep."""
+        by_config = {c: [cells[x, c] for x in points] for c in CONFIGURATIONS}
+        return cls(p.jobs, p.config.nodes, tuple(points), by_config)
+
+    def goodput(self, configuration: str) -> list[float]:
+        """Completed jobs per simulated hour, per point."""
+        out = []
+        for cell in self.cells[configuration]:
+            makespan = cell["makespan"]
+            out.append(
+                3600.0 * cell["completed"] / makespan if makespan > 0 else 0.0
+            )
+        return out
+
+    def rows(self, counters: Sequence[str]) -> list[list]:
+        """One table row per point and configuration: the point, the
+        configuration, goodput, makespan, then ``counters``."""
+        return [
+            [f"{point:g}", configuration, f"{self.goodput(configuration)[i]:.0f}",
+             f"{cells[i]['makespan']:.0f}", *(cells[i][c] for c in counters)]
+            for i, point in enumerate(self.points)
+            for configuration, cells in self.cells.items()
+        ]

@@ -9,79 +9,57 @@ sub-linear sharing efficiency and the thread budget cap the return.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
+from itertools import product
 
-from ..cluster import ClusterConfig
+from ..cluster import CONFIGURATIONS
 from ..metrics import format_series
 from ..phi import XeonPhiSpec
 from .common import DEFAULT_SEED, PAPER_CLUSTER
-from .runner import SimTask, TaskRunner, execute, sim_task
+from .runner import JobCounts, SimTask, sim_task
 
 DEFAULT_CAPACITIES_MB = (4096, 8192, 12288, 16384)
-
-_CONFIGURATIONS = ("MC", "MCC", "MCCK")
 
 
 @dataclass
 class CapacityResult:
     job_count: int
+    nodes: int
     capacities_mb: tuple[int, ...]
     makespans: dict[str, list[float]]  # configuration -> aligned values
 
 
-def tasks(
-    jobs: int = 400,
-    capacities_mb: tuple[int, ...] = DEFAULT_CAPACITIES_MB,
-    config: ClusterConfig = PAPER_CLUSTER,
-    seed: int = DEFAULT_SEED,
-) -> list[SimTask]:
-    workload = ("table1", jobs, seed)
-    grid: list[SimTask] = []
-    for capacity in capacities_mb:
-        spec = XeonPhiSpec(
-            cores=config.spec.cores,
-            threads_per_core=config.spec.threads_per_core,
-            memory_mb=capacity,
-        )
-        sized = replace(config, spec=spec)
-        for configuration in _CONFIGURATIONS:
-            grid.append(
-                sim_task(
-                    "ext-capacity", configuration, sized, workload,
-                    label=f"{configuration}@{capacity // 1024}GB",
-                )
-            )
-    return grid
+PARAMS = dict(
+    jobs=400, capacities_mb=DEFAULT_CAPACITIES_MB, config=PAPER_CLUSTER,
+    seed=DEFAULT_SEED,
+)
+JOBS = JobCounts(quick=120, full=400)
 
 
-def merge(
-    values: list,
-    jobs: int = 400,
-    capacities_mb: tuple[int, ...] = DEFAULT_CAPACITIES_MB,
-    config: ClusterConfig = PAPER_CLUSTER,
-    seed: int = DEFAULT_SEED,
-) -> CapacityResult:
-    cursor = iter(values)
-    makespans: dict[str, list[float]] = {c: [] for c in _CONFIGURATIONS}
-    for _capacity in capacities_mb:
-        for configuration in _CONFIGURATIONS:
-            makespans[configuration].append(next(cursor)["makespan"])
-    return CapacityResult(
-        job_count=jobs, capacities_mb=capacities_mb, makespans=makespans
+def keys(p):
+    return product(p.capacities_mb, CONFIGURATIONS)
+
+
+def cell(p, capacity: int, configuration: str) -> SimTask:
+    spec = XeonPhiSpec(
+        cores=p.config.spec.cores,
+        threads_per_core=p.config.spec.threads_per_core,
+        memory_mb=capacity,
+    )
+    return sim_task(
+        "ext-capacity", configuration, replace(p.config, spec=spec),
+        ("table1", p.jobs, p.seed),
+        label=f"{configuration}@{capacity // 1024}GB",
     )
 
 
-def run(
-    jobs: int = 400,
-    capacities_mb: tuple[int, ...] = DEFAULT_CAPACITIES_MB,
-    config: ClusterConfig = PAPER_CLUSTER,
-    seed: int = DEFAULT_SEED,
-    runner: Optional[TaskRunner] = None,
-) -> CapacityResult:
-    grid = tasks(jobs=jobs, capacities_mb=capacities_mb, config=config, seed=seed)
-    values = execute(grid, runner)
-    return merge(
-        values, jobs=jobs, capacities_mb=capacities_mb, config=config, seed=seed
+def result(p, cells: dict) -> CapacityResult:
+    makespans = {
+        c: [cells[mb, c]["makespan"] for mb in p.capacities_mb]
+        for c in CONFIGURATIONS
+    }
+    return CapacityResult(
+        job_count=p.jobs, nodes=p.config.nodes, capacities_mb=p.capacities_mb,
+        makespans=makespans,
     )
 
 
@@ -92,7 +70,7 @@ def render(result: CapacityResult) -> str:
         result.makespans,
         title=(
             f"X1: makespan vs device memory capacity "
-            f"({result.job_count} Table-I jobs, 8 nodes)"
+            f"({result.job_count} Table-I jobs, {result.nodes} nodes)"
         ),
     )
     return table + (

@@ -26,41 +26,21 @@ in the result-cache key.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import product
 from typing import Optional
 
-from ..cluster import ClusterConfig
+from ..cluster import CONFIGURATIONS
 from ..faults import FaultProfile, derive_fault_seed
 from ..metrics import format_table
 from ..net import NetProfile, derive_net_seed
-from .common import DEFAULT_SEED, PAPER_CLUSTER
-from .runner import SimTask, TaskRunner, execute
+from .common import DEFAULT_SEED, PAPER_CLUSTER, GoodputResult
+from .runner import JobCounts, SimTask, sim_task
 
 #: Daemon crashes per 1000 simulated seconds (0 = the paper's baseline).
 #: The quick-scale queue drains in ~250 simulated seconds, so rates
 #: below ~4/ks usually draw zero crashes before the pool goes idle —
 #: the sweep starts where crash-restart cycles actually land mid-burn.
 DEFAULT_RATES = (0.0, 5.0, 10.0, 20.0)
-
-_CONFIGURATIONS = ("MC", "MCC", "MCCK")
-
-
-@dataclass
-class CrashResult:
-    job_count: int
-    rates: tuple[float, ...]
-    #: configuration -> per-rate cell dicts (aligned with ``rates``).
-    cells: dict[str, list[dict]]
-
-    def goodput(self, configuration: str) -> list[float]:
-        """Completed jobs per simulated hour, per crash rate."""
-        out = []
-        for cell in self.cells[configuration]:
-            makespan = cell["makespan"]
-            out.append(
-                3600.0 * cell["completed"] / makespan if makespan > 0 else 0.0
-            )
-        return out
 
 
 def _profile(
@@ -72,103 +52,50 @@ def _profile(
     return FaultProfile(daemon_crash_rate=rate, crashes=crashes)
 
 
-def tasks(
-    jobs: int = 200,
-    rates: tuple[float, ...] = DEFAULT_RATES,
-    crashes: tuple[tuple[float, str], ...] = (),
-    config: ClusterConfig = PAPER_CLUSTER,
-    seed: int = DEFAULT_SEED,
-) -> list[SimTask]:
-    workload = ("table1", jobs, seed)
-    fault_seed = derive_fault_seed(seed)
-    net_seed = derive_net_seed(seed)
-    grid: list[SimTask] = []
-    for rate in rates:
-        faults = _profile(rate, crashes)
-        for configuration in _CONFIGURATIONS:
-            grid.append(
-                SimTask.make(
-                    "ext-crash",
-                    "sim",
-                    label=f"{configuration}@{rate:g}/ks",
-                    configuration=configuration,
-                    config=config,
-                    workload=workload,
-                    faults=faults,
-                    fault_seed=fault_seed,
-                    # Crash cells need the fabric (daemon downtime is
-                    # endpoint downtime); the default profile is quiet
-                    # and reliable, isolating the cost of the crashes.
-                    net=None if faults is None else NetProfile(),
-                    net_seed=net_seed,
-                )
-            )
-    return grid
+PARAMS = dict(
+    jobs=200, rates=DEFAULT_RATES, crashes=(), config=PAPER_CLUSTER, seed=DEFAULT_SEED
+)
+JOBS = JobCounts(quick=60, full=200)
 
 
-def merge(
-    values: list,
-    jobs: int = 200,
-    rates: tuple[float, ...] = DEFAULT_RATES,
-    crashes: tuple[tuple[float, str], ...] = (),
-    config: ClusterConfig = PAPER_CLUSTER,
-    seed: int = DEFAULT_SEED,
-) -> CrashResult:
-    cursor = iter(values)
-    cells: dict[str, list[dict]] = {c: [] for c in _CONFIGURATIONS}
-    for _rate in rates:
-        for configuration in _CONFIGURATIONS:
-            cells[configuration].append(next(cursor))
-    return CrashResult(job_count=jobs, rates=rates, cells=cells)
+def keys(p):
+    return product(p.rates, CONFIGURATIONS)
 
 
-def run(
-    jobs: int = 200,
-    rates: tuple[float, ...] = DEFAULT_RATES,
-    crashes: tuple[tuple[float, str], ...] = (),
-    config: ClusterConfig = PAPER_CLUSTER,
-    seed: int = DEFAULT_SEED,
-    runner: Optional[TaskRunner] = None,
-) -> CrashResult:
-    grid = tasks(
-        jobs=jobs, rates=rates, crashes=crashes, config=config, seed=seed
-    )
-    values = execute(grid, runner)
-    return merge(
-        values, jobs=jobs, rates=rates, crashes=crashes, config=config,
-        seed=seed,
+def cell(p, rate: float, configuration: str) -> SimTask:
+    faults = _profile(rate, p.crashes)
+    return sim_task(
+        "ext-crash", configuration, p.config, ("table1", p.jobs, p.seed),
+        label=f"{configuration}@{rate:g}/ks",
+        faults=faults,
+        fault_seed=derive_fault_seed(p.seed),
+        # Crash cells need the fabric (daemon downtime is endpoint
+        # downtime); the default profile is quiet and reliable,
+        # isolating the cost of the crashes.
+        net=None if faults is None else NetProfile(),
+        net_seed=derive_net_seed(p.seed),
     )
 
 
-def render(result: CrashResult) -> str:
+def result(p, cells: dict) -> GoodputResult:
+    return GoodputResult.from_cells(p, p.rates, cells)
+
+
+def render(result: GoodputResult) -> str:
     headers = [
         "rate/ks", "config", "goodput/h", "makespan", "completed",
         "crashes", "recoveries", "wal-replayed", "readopted", "retried",
     ]
-    rows = []
-    for i, rate in enumerate(result.rates):
-        for configuration in _CONFIGURATIONS:
-            cell = result.cells[configuration][i]
-            rows.append(
-                [
-                    f"{rate:g}",
-                    configuration,
-                    f"{result.goodput(configuration)[i]:.0f}",
-                    f"{cell['makespan']:.0f}",
-                    cell["completed"],
-                    cell["crashes"],
-                    cell["recoveries"],
-                    cell["wal_replayed"],
-                    cell["readopted"],
-                    cell["retried"],
-                ]
-            )
+    rows = result.rows(
+        ("completed", "crashes", "recoveries", "wal_replayed", "readopted",
+         "retried"),
+    )
     table = format_table(
         headers,
         rows,
         title=(
             f"X8: goodput under daemon crash–recovery "
-            f"({result.job_count} Table-I jobs, {PAPER_CLUSTER.nodes} nodes)"
+            f"({result.job_count} Table-I jobs, {result.nodes} nodes)"
         ),
     )
     return table + (

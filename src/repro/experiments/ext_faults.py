@@ -21,124 +21,58 @@ and rates, byte-identical tables (asserted in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import product
 from typing import Optional
 
-from ..cluster import ClusterConfig
+from ..cluster import CONFIGURATIONS
 from ..faults import FaultProfile, derive_fault_seed
 from ..metrics import format_table
-from .common import DEFAULT_SEED, PAPER_CLUSTER
-from .runner import SimTask, TaskRunner, execute
+from .common import DEFAULT_SEED, PAPER_CLUSTER, GoodputResult
+from .runner import JobCounts, SimTask, sim_task
 
 #: Fault events per 1000 simulated seconds (0 = the paper's baseline).
 DEFAULT_RATES = (0.0, 0.5, 1.0, 2.0, 4.0)
-
-_CONFIGURATIONS = ("MC", "MCC", "MCCK")
-
-
-@dataclass
-class FaultsResult:
-    job_count: int
-    rates: tuple[float, ...]
-    #: configuration -> per-rate cell dicts (aligned with ``rates``).
-    cells: dict[str, list[dict]]
-
-    def goodput(self, configuration: str) -> list[float]:
-        """Completed jobs per simulated hour, per rate."""
-        out = []
-        for cell in self.cells[configuration]:
-            makespan = cell["makespan"]
-            out.append(
-                3600.0 * cell["completed"] / makespan if makespan > 0 else 0.0
-            )
-        return out
 
 
 def _profile(rate: float) -> Optional[FaultProfile]:
     return FaultProfile.chaos(rate) if rate > 0 else None
 
 
-def tasks(
-    jobs: int = 200,
-    rates: tuple[float, ...] = DEFAULT_RATES,
-    config: ClusterConfig = PAPER_CLUSTER,
-    seed: int = DEFAULT_SEED,
-) -> list[SimTask]:
-    workload = ("table1", jobs, seed)
-    fault_seed = derive_fault_seed(seed)
-    grid: list[SimTask] = []
-    for rate in rates:
-        for configuration in _CONFIGURATIONS:
-            grid.append(
-                SimTask.make(
-                    "ext-faults",
-                    "sim",
-                    label=f"{configuration}@{rate:g}/ks",
-                    configuration=configuration,
-                    config=config,
-                    workload=workload,
-                    faults=_profile(rate),
-                    fault_seed=fault_seed,
-                )
-            )
-    return grid
+PARAMS = dict(jobs=200, rates=DEFAULT_RATES, config=PAPER_CLUSTER, seed=DEFAULT_SEED)
+JOBS = JobCounts(quick=60, full=200)
 
 
-def merge(
-    values: list,
-    jobs: int = 200,
-    rates: tuple[float, ...] = DEFAULT_RATES,
-    config: ClusterConfig = PAPER_CLUSTER,
-    seed: int = DEFAULT_SEED,
-) -> FaultsResult:
-    cursor = iter(values)
-    cells: dict[str, list[dict]] = {c: [] for c in _CONFIGURATIONS}
-    for _rate in rates:
-        for configuration in _CONFIGURATIONS:
-            cells[configuration].append(next(cursor))
-    return FaultsResult(job_count=jobs, rates=rates, cells=cells)
+def keys(p):
+    return product(p.rates, CONFIGURATIONS)
 
 
-def run(
-    jobs: int = 200,
-    rates: tuple[float, ...] = DEFAULT_RATES,
-    config: ClusterConfig = PAPER_CLUSTER,
-    seed: int = DEFAULT_SEED,
-    runner: Optional[TaskRunner] = None,
-) -> FaultsResult:
-    grid = tasks(jobs=jobs, rates=rates, config=config, seed=seed)
-    values = execute(grid, runner)
-    return merge(values, jobs=jobs, rates=rates, config=config, seed=seed)
+def cell(p, rate: float, configuration: str) -> SimTask:
+    return sim_task(
+        "ext-faults", configuration, p.config, ("table1", p.jobs, p.seed),
+        label=f"{configuration}@{rate:g}/ks",
+        faults=_profile(rate),
+        fault_seed=derive_fault_seed(p.seed),
+    )
 
 
-def render(result: FaultsResult) -> str:
+def result(p, cells: dict) -> GoodputResult:
+    return GoodputResult.from_cells(p, p.rates, cells)
+
+
+def render(result: GoodputResult) -> str:
     headers = [
         "rate/ks", "config", "goodput/h", "makespan",
         "completed", "failed", "requeues", "retried-ok", "injected",
     ]
-    rows = []
-    for i, rate in enumerate(result.rates):
-        for configuration in _CONFIGURATIONS:
-            cell = result.cells[configuration][i]
-            rows.append(
-                [
-                    f"{rate:g}",
-                    configuration,
-                    f"{result.goodput(configuration)[i]:.0f}",
-                    f"{cell['makespan']:.0f}",
-                    cell["completed"],
-                    cell["failed"],
-                    cell["requeues"],
-                    cell["retried"],
-                    cell["faults_injected"],
-                ]
-            )
+    rows = result.rows(
+        ("completed", "failed", "requeues", "retried", "faults_injected"),
+    )
     table = format_table(
         headers,
         rows,
         title=(
             f"X5: goodput and recovery under injected failures "
-            f"({result.job_count} Table-I jobs, {PAPER_CLUSTER.nodes} nodes)"
+            f"({result.job_count} Table-I jobs, {result.nodes} nodes)"
         ),
     )
     return table + (

@@ -10,12 +10,11 @@ the price of fewer host CPUs per card.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
+from itertools import product
 
-from ..cluster import ClusterConfig
 from ..metrics import format_table
 from .common import DEFAULT_SEED, PAPER_CLUSTER
-from .runner import SimTask, TaskRunner, execute, sim_task
+from .runner import JobCounts, SimTask, sim_task
 
 #: (nodes, devices_per_node) shapes with 8 cards total.
 DEFAULT_SHAPES = ((8, 1), (4, 2), (2, 4))
@@ -30,49 +29,32 @@ class MultiDeviceResult:
     makespans: dict[str, list[float]]  # configuration -> aligned with shapes
 
 
-def tasks(
-    jobs: int = 400,
-    shapes: tuple[tuple[int, int], ...] = DEFAULT_SHAPES,
-    config: ClusterConfig = PAPER_CLUSTER,
-    seed: int = DEFAULT_SEED,
-) -> list[SimTask]:
-    workload = ("table1", jobs, seed)
-    return [
-        sim_task(
-            "ext-multidevice", configuration,
-            replace(config, nodes=nodes, devices_per_node=devices), workload,
-            label=f"{configuration}@{nodes}x{devices}",
-        )
-        for nodes, devices in shapes
-        for configuration in _CONFIGURATIONS
-    ]
+PARAMS = dict(
+    jobs=400, shapes=DEFAULT_SHAPES, config=PAPER_CLUSTER, seed=DEFAULT_SEED
+)
+JOBS = JobCounts(quick=120, full=400)
 
 
-def merge(
-    values: list,
-    jobs: int = 400,
-    shapes: tuple[tuple[int, int], ...] = DEFAULT_SHAPES,
-    config: ClusterConfig = PAPER_CLUSTER,
-    seed: int = DEFAULT_SEED,
-) -> MultiDeviceResult:
-    cursor = iter(values)
-    makespans: dict[str, list[float]] = {c: [] for c in _CONFIGURATIONS}
-    for _shape in shapes:
-        for configuration in _CONFIGURATIONS:
-            makespans[configuration].append(next(cursor)["makespan"])
-    return MultiDeviceResult(job_count=jobs, shapes=shapes, makespans=makespans)
+def keys(p):
+    return product(p.shapes, _CONFIGURATIONS)
 
 
-def run(
-    jobs: int = 400,
-    shapes: tuple[tuple[int, int], ...] = DEFAULT_SHAPES,
-    config: ClusterConfig = PAPER_CLUSTER,
-    seed: int = DEFAULT_SEED,
-    runner: Optional[TaskRunner] = None,
-) -> MultiDeviceResult:
-    grid = tasks(jobs=jobs, shapes=shapes, config=config, seed=seed)
-    values = execute(grid, runner)
-    return merge(values, jobs=jobs, shapes=shapes, config=config, seed=seed)
+def cell(p, shape: tuple[int, int], configuration: str) -> SimTask:
+    nodes, devices = shape
+    return sim_task(
+        "ext-multidevice", configuration,
+        replace(p.config, nodes=nodes, devices_per_node=devices),
+        ("table1", p.jobs, p.seed),
+        label=f"{configuration}@{nodes}x{devices}",
+    )
+
+
+def result(p, cells: dict) -> MultiDeviceResult:
+    makespans = {
+        c: [cells[shape, c]["makespan"] for shape in p.shapes]
+        for c in _CONFIGURATIONS
+    }
+    return MultiDeviceResult(job_count=p.jobs, shapes=p.shapes, makespans=makespans)
 
 
 def render(result: MultiDeviceResult) -> str:

@@ -24,37 +24,17 @@ result-cache key.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import product
 from typing import Optional
 
-from ..cluster import ClusterConfig
+from ..cluster import CONFIGURATIONS
 from ..metrics import format_table
 from ..net import NetProfile, PartitionSpec, derive_net_seed
-from .common import DEFAULT_SEED, PAPER_CLUSTER
-from .runner import SimTask, TaskRunner, execute
+from .common import DEFAULT_SEED, PAPER_CLUSTER, GoodputResult
+from .runner import JobCounts, SimTask, sim_task
 
 #: Per-message loss probabilities (0 = the paper's in-process baseline).
 DEFAULT_LOSSES = (0.0, 0.02, 0.05, 0.10)
-
-_CONFIGURATIONS = ("MC", "MCC", "MCCK")
-
-
-@dataclass
-class NetChaosResult:
-    job_count: int
-    losses: tuple[float, ...]
-    #: configuration -> per-loss cell dicts (aligned with ``losses``).
-    cells: dict[str, list[dict]]
-
-    def goodput(self, configuration: str) -> list[float]:
-        """Completed jobs per simulated hour, per loss rate."""
-        out = []
-        for cell in self.cells[configuration]:
-            makespan = cell["makespan"]
-            out.append(
-                3600.0 * cell["completed"] / makespan if makespan > 0 else 0.0
-            )
-        return out
 
 
 def _profile(
@@ -70,100 +50,45 @@ def _profile(
     return NetProfile.chaos(loss, partitions=partitions)
 
 
-def tasks(
-    jobs: int = 200,
-    losses: tuple[float, ...] = DEFAULT_LOSSES,
-    partitions: tuple[PartitionSpec, ...] = (),
-    delay_s: Optional[float] = None,
-    config: ClusterConfig = PAPER_CLUSTER,
-    seed: int = DEFAULT_SEED,
-) -> list[SimTask]:
-    workload = ("table1", jobs, seed)
-    net_seed = derive_net_seed(seed)
-    grid: list[SimTask] = []
-    for loss in losses:
-        for configuration in _CONFIGURATIONS:
-            grid.append(
-                SimTask.make(
-                    "ext-netchaos",
-                    "sim",
-                    label=f"{configuration}@loss{loss:g}",
-                    configuration=configuration,
-                    config=config,
-                    workload=workload,
-                    net=_profile(loss, partitions, delay_s),
-                    net_seed=net_seed,
-                )
-            )
-    return grid
+PARAMS = dict(
+    jobs=200, losses=DEFAULT_LOSSES, partitions=(), delay_s=None,
+    config=PAPER_CLUSTER, seed=DEFAULT_SEED,
+)
+JOBS = JobCounts(quick=60, full=200)
 
 
-def merge(
-    values: list,
-    jobs: int = 200,
-    losses: tuple[float, ...] = DEFAULT_LOSSES,
-    partitions: tuple[PartitionSpec, ...] = (),
-    delay_s: Optional[float] = None,
-    config: ClusterConfig = PAPER_CLUSTER,
-    seed: int = DEFAULT_SEED,
-) -> NetChaosResult:
-    cursor = iter(values)
-    cells: dict[str, list[dict]] = {c: [] for c in _CONFIGURATIONS}
-    for _loss in losses:
-        for configuration in _CONFIGURATIONS:
-            cells[configuration].append(next(cursor))
-    return NetChaosResult(job_count=jobs, losses=losses, cells=cells)
+def keys(p):
+    return product(p.losses, CONFIGURATIONS)
 
 
-def run(
-    jobs: int = 200,
-    losses: tuple[float, ...] = DEFAULT_LOSSES,
-    partitions: tuple[PartitionSpec, ...] = (),
-    delay_s: Optional[float] = None,
-    config: ClusterConfig = PAPER_CLUSTER,
-    seed: int = DEFAULT_SEED,
-    runner: Optional[TaskRunner] = None,
-) -> NetChaosResult:
-    grid = tasks(
-        jobs=jobs, losses=losses, partitions=partitions, delay_s=delay_s,
-        config=config, seed=seed,
-    )
-    values = execute(grid, runner)
-    return merge(
-        values, jobs=jobs, losses=losses, partitions=partitions,
-        delay_s=delay_s, config=config, seed=seed,
+def cell(p, loss: float, configuration: str) -> SimTask:
+    return sim_task(
+        "ext-netchaos", configuration, p.config, ("table1", p.jobs, p.seed),
+        label=f"{configuration}@loss{loss:g}",
+        net=_profile(loss, p.partitions, p.delay_s),
+        net_seed=derive_net_seed(p.seed),
     )
 
 
-def render(result: NetChaosResult) -> str:
+def result(p, cells: dict) -> GoodputResult:
+    return GoodputResult.from_cells(p, p.losses, cells)
+
+
+def render(result: GoodputResult) -> str:
     headers = [
         "loss", "config", "goodput/h", "makespan", "completed",
         "retrans", "dup-drop", "lease-exp", "claims-lost", "match-to",
     ]
-    rows = []
-    for i, loss in enumerate(result.losses):
-        for configuration in _CONFIGURATIONS:
-            cell = result.cells[configuration][i]
-            rows.append(
-                [
-                    f"{loss:g}",
-                    configuration,
-                    f"{result.goodput(configuration)[i]:.0f}",
-                    f"{cell['makespan']:.0f}",
-                    cell["completed"],
-                    cell["retransmits"],
-                    cell["dup_dropped"],
-                    cell["lease_expiries"],
-                    cell["claims_lost"],
-                    cell["match_timeouts"],
-                ]
-            )
+    rows = result.rows(
+        ("completed", "retransmits", "dup_dropped", "lease_expiries",
+         "claims_lost", "match_timeouts"),
+    )
     table = format_table(
         headers,
         rows,
         title=(
             f"X6: goodput under an unreliable daemon network "
-            f"({result.job_count} Table-I jobs, {PAPER_CLUSTER.nodes} nodes)"
+            f"({result.job_count} Table-I jobs, {result.nodes} nodes)"
         ),
     )
     return table + (

@@ -18,6 +18,7 @@ from ..mpss import FREE_TRANSFERS, OffloadRuntime
 from ..phi import AffinitizedContention, UnmanagedContention, XeonPhi
 from ..sim import Environment
 from ..workloads import HostPhase, JobProfile, OffloadPhase
+from .runner import SimTask, one_cell
 
 DEFAULT_RATIOS = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
 
@@ -77,21 +78,28 @@ def _survival(total_mb: float, processes: int = 4) -> float:
     return sum(outcomes) / len(outcomes)
 
 
-def run(
-    ratios: tuple[float, ...] = DEFAULT_RATIOS,
-    memory_demand_mb: tuple[float, ...] = (4096, 8192, 10240, 12288, 16384),
-    seed: int = 0,  # accepted for CLI uniformity; the experiment is exact
-) -> OversubscriptionResult:
+PARAMS = dict(
+    ratios=DEFAULT_RATIOS, memory_demand_mb=(4096, 8192, 10240, 12288, 16384)
+)
+#: Exact: no job count to scale.
+JOBS = None
+
+
+keys, cell, result = one_cell("ext-oversubscription")
+
+
+def compute(task: SimTask) -> OversubscriptionResult:
+    p = task.kwargs()
     return OversubscriptionResult(
-        ratios=ratios,
+        ratios=p["ratios"],
         slowdowns_unmanaged=[
-            _thread_slowdown(r, UnmanagedContention()) for r in ratios
+            _thread_slowdown(r, UnmanagedContention()) for r in p["ratios"]
         ],
         slowdowns_managed=[
-            _thread_slowdown(r, AffinitizedContention()) for r in ratios
+            _thread_slowdown(r, AffinitizedContention()) for r in p["ratios"]
         ],
-        memory_demand_mb=memory_demand_mb,
-        survival_rate=[_survival(mb) for mb in memory_demand_mb],
+        memory_demand_mb=p["memory_demand_mb"],
+        survival_rate=[_survival(mb) for mb in p["memory_demand_mb"]],
     )
 
 

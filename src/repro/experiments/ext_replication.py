@@ -10,16 +10,12 @@ MCC↔MCCK gap is in this simulator — see EXPERIMENTS.md deviation 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from itertools import product
 
-from ..cluster import ClusterConfig
+from ..cluster import CONFIGURATIONS
 from ..metrics import Replicated, compare, format_table
-from .common import PAPER_CLUSTER
-from .runner import SimTask, TaskRunner, execute, sim_task
-
-DEFAULT_SEEDS = (42, 43, 44, 45, 46)
-
-_CONFIGURATIONS = ("MC", "MCC", "MCCK")
+from .common import DEFAULT_SEED, PAPER_CLUSTER
+from .runner import JobCounts, SimTask, sim_task
 
 
 @dataclass
@@ -42,50 +38,33 @@ class ReplicationResult:
         return compare(self.makespans["MCC"], self.makespans["MCCK"])
 
 
-def tasks(
-    jobs: int = 400,
-    seeds: tuple[int, ...] = DEFAULT_SEEDS,
-    config: ClusterConfig = PAPER_CLUSTER,
-    seed: int = 0,  # unused; kept for CLI uniformity
-) -> list[SimTask]:
-    return [
-        sim_task(
-            "ext-replication", configuration, config,
-            ("table1", jobs, workload_seed),
-            label=f"{configuration}/seed{workload_seed}",
-        )
-        for configuration in _CONFIGURATIONS
-        for workload_seed in seeds
-    ]
+#: Workload seeds ``seed .. seed + replicas - 1``.
+PARAMS = dict(jobs=400, replicas=5, config=PAPER_CLUSTER, seed=DEFAULT_SEED)
+JOBS = JobCounts(quick=60, full=400)
 
 
-def merge(
-    values: list,
-    jobs: int = 400,
-    seeds: tuple[int, ...] = DEFAULT_SEEDS,
-    config: ClusterConfig = PAPER_CLUSTER,
-    seed: int = 0,
-) -> ReplicationResult:
-    cursor = iter(values)
+def _seeds(p) -> tuple[int, ...]:
+    return tuple(range(p.seed, p.seed + p.replicas))
+
+
+def keys(p):
+    return product(CONFIGURATIONS, _seeds(p))
+
+
+def cell(p, configuration: str, workload_seed: int) -> SimTask:
+    return sim_task(
+        "ext-replication", configuration, p.config,
+        ("table1", p.jobs, workload_seed),
+        label=f"{configuration}/seed{workload_seed}",
+    )
+
+
+def result(p, cells: dict) -> ReplicationResult:
     makespans = {
-        configuration: Replicated(
-            tuple(next(cursor)["makespan"] for _ in seeds)
-        )
-        for configuration in _CONFIGURATIONS
+        c: Replicated(tuple(cells[c, s]["makespan"] for s in _seeds(p)))
+        for c in CONFIGURATIONS
     }
-    return ReplicationResult(job_count=jobs, seeds=seeds, makespans=makespans)
-
-
-def run(
-    jobs: int = 400,
-    seeds: tuple[int, ...] = DEFAULT_SEEDS,
-    config: ClusterConfig = PAPER_CLUSTER,
-    seed: int = 0,  # unused; kept for CLI uniformity
-    runner: Optional[TaskRunner] = None,
-) -> ReplicationResult:
-    grid = tasks(jobs=jobs, seeds=seeds, config=config, seed=seed)
-    values = execute(grid, runner)
-    return merge(values, jobs=jobs, seeds=seeds, config=config, seed=seed)
+    return ReplicationResult(job_count=p.jobs, seeds=_seeds(p), makespans=makespans)
 
 
 def render(result: ReplicationResult) -> str:

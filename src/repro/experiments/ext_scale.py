@@ -35,6 +35,7 @@ from ..cluster import run_configuration
 from ..metrics import format_table
 from ..sim import profile as sim_profile
 from .common import DEFAULT_SEED, PAPER_CLUSTER, make_workload
+from .runner import JobCounts, SimTask, one_cell
 
 #: Pool sizes swept by default (the paper's 8 up to the north-star 1024).
 DEFAULT_NODE_COUNTS = (8, 64, 256, 1024)
@@ -57,15 +58,20 @@ def _peak_rss_mb() -> float:
     return kb / 1024.0
 
 
-def run(
-    jobs: int = 64,
-    node_counts: tuple[int, ...] = DEFAULT_NODE_COUNTS,
-    configuration: str = "MCCK",
-    seed: int = DEFAULT_SEED,
-) -> ScaleResult:
-    job_set = make_workload(("table1", jobs, seed))
+PARAMS = dict(
+    jobs=64, node_counts=DEFAULT_NODE_COUNTS, configuration="MCCK", seed=DEFAULT_SEED
+)
+JOBS = JobCounts(quick=64, full=400)
+
+
+keys, cell, result = one_cell("ext-scale")
+
+
+def compute(task: SimTask) -> ScaleResult:
+    p = task.kwargs()
+    job_set = make_workload(("table1", p["jobs"], p["seed"]))
     rows: list[dict] = []
-    for nodes in node_counts:
+    for nodes in p["node_counts"]:
         config = PAPER_CLUSTER.resized(nodes)
         # A private profiler per pool size supplies the event and cycle
         # counts; the previously active one (e.g. the CLI's --profile)
@@ -76,7 +82,7 @@ def run(
         try:
             prof.start()
             started = time.perf_counter()
-            result = run_configuration(configuration, job_set, config)
+            outcome = run_configuration(p["configuration"], job_set, config)
             wall = time.perf_counter() - started
             prof.stop()
         finally:
@@ -87,8 +93,8 @@ def run(
         rows.append(
             {
                 "nodes": nodes,
-                "makespan": result.makespan,
-                "completed": result.completed_jobs,
+                "makespan": outcome.makespan,
+                "completed": outcome.completed_jobs,
                 "cycles": cycles,
                 "events": prof.total_fired,
                 "wall_s": wall,
@@ -98,9 +104,9 @@ def run(
             }
         )
     return ScaleResult(
-        job_count=jobs,
-        configuration=configuration,
-        node_counts=tuple(node_counts),
+        job_count=p["jobs"],
+        configuration=p["configuration"],
+        node_counts=p["node_counts"],
         rows=rows,
     )
 

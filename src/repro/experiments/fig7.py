@@ -14,6 +14,7 @@ import numpy as np
 from ..metrics import ascii_bar_chart
 from ..workloads import DISTRIBUTIONS, generate_synthetic_jobs, resource_histogram
 from .common import DEFAULT_SEED
+from .runner import JobCounts, SimTask, one_cell
 
 
 @dataclass
@@ -24,13 +25,22 @@ class Fig7Result:
     mean_declared_threads: dict[str, float]
 
 
-def run(jobs: int = 400, seed: int = DEFAULT_SEED, bins: int = 10) -> Fig7Result:
+PARAMS = dict(jobs=400, seed=DEFAULT_SEED, bins=10)
+#: Input-only and cheap: the paper's size even at quick scale.
+JOBS = JobCounts(quick=400, full=400)
+
+
+keys, cell, result = one_cell("fig7")
+
+
+def compute(task: SimTask) -> Fig7Result:
+    p = task.kwargs()
     histograms: dict[str, np.ndarray] = {}
     mean_mb: dict[str, float] = {}
     mean_threads: dict[str, float] = {}
     for distribution in DISTRIBUTIONS:
-        job_set = generate_synthetic_jobs(jobs, distribution, seed=seed)
-        counts, _edges = resource_histogram(job_set, bins=bins)
+        job_set = generate_synthetic_jobs(p["jobs"], distribution, seed=p["seed"])
+        counts, _edges = resource_histogram(job_set, bins=p["bins"])
         histograms[distribution] = counts
         mean_mb[distribution] = float(
             np.mean([j.declared_memory_mb for j in job_set])
@@ -39,7 +49,7 @@ def run(jobs: int = 400, seed: int = DEFAULT_SEED, bins: int = 10) -> Fig7Result
             np.mean([j.declared_threads for j in job_set])
         )
     return Fig7Result(
-        job_count=jobs,
+        job_count=p["jobs"],
         histograms=histograms,
         mean_declared_mb=mean_mb,
         mean_declared_threads=mean_threads,

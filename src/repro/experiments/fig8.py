@@ -10,20 +10,19 @@ beat the exclusive baseline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from itertools import product
 
-from ..cluster import ClusterConfig
+from ..cluster import CONFIGURATIONS
 from ..metrics import format_table, percent_reduction
 from ..workloads import DISTRIBUTIONS
 from .common import DEFAULT_SEED, PAPER_CLUSTER
-from .runner import SimTask, TaskRunner, execute, sim_task
-
-_CONFIGURATIONS = ("MC", "MCC", "MCCK")
+from .runner import JobCounts, SimTask, sim_task
 
 
 @dataclass
 class Fig8Result:
     job_count: int
+    nodes: int
     #: makespans[distribution][configuration] -> seconds
     makespans: dict[str, dict[str, float]]
 
@@ -32,50 +31,30 @@ class Fig8Result:
         return percent_reduction(base, self.makespans[distribution][configuration])
 
 
-def tasks(
-    jobs: int = 400,
-    config: ClusterConfig = PAPER_CLUSTER,
-    seed: int = DEFAULT_SEED,
-    distributions: tuple[str, ...] = DISTRIBUTIONS,
-) -> list[SimTask]:
-    return [
-        sim_task(
-            "fig8", configuration, config,
-            ("synthetic", jobs, distribution, seed),
-            label=f"{distribution}/{configuration}",
-        )
-        for distribution in distributions
-        for configuration in _CONFIGURATIONS
-    ]
+PARAMS = dict(
+    jobs=400, config=PAPER_CLUSTER, seed=DEFAULT_SEED, distributions=DISTRIBUTIONS
+)
+JOBS = JobCounts(quick=120, full=400)
 
 
-def merge(
-    values: list,
-    jobs: int = 400,
-    config: ClusterConfig = PAPER_CLUSTER,
-    seed: int = DEFAULT_SEED,
-    distributions: tuple[str, ...] = DISTRIBUTIONS,
-) -> Fig8Result:
-    cursor = iter(values)
-    makespans = {
-        distribution: {c: next(cursor)["makespan"] for c in _CONFIGURATIONS}
-        for distribution in distributions
-    }
-    return Fig8Result(job_count=jobs, makespans=makespans)
+def keys(p):
+    return product(p.distributions, CONFIGURATIONS)
 
 
-def run(
-    jobs: int = 400,
-    config: ClusterConfig = PAPER_CLUSTER,
-    seed: int = DEFAULT_SEED,
-    distributions: tuple[str, ...] = DISTRIBUTIONS,
-    runner: Optional[TaskRunner] = None,
-) -> Fig8Result:
-    grid = tasks(jobs=jobs, config=config, seed=seed, distributions=distributions)
-    values = execute(grid, runner)
-    return merge(
-        values, jobs=jobs, config=config, seed=seed, distributions=distributions
+def cell(p, distribution: str, configuration: str) -> SimTask:
+    return sim_task(
+        "fig8", configuration, p.config,
+        ("synthetic", p.jobs, distribution, p.seed),
+        label=f"{distribution}/{configuration}",
     )
+
+
+def result(p, cells: dict) -> Fig8Result:
+    makespans = {
+        d: {c: cells[d, c]["makespan"] for c in CONFIGURATIONS}
+        for d in p.distributions
+    }
+    return Fig8Result(job_count=p.jobs, nodes=p.config.nodes, makespans=makespans)
 
 
 def render(result: Fig8Result) -> str:
@@ -100,6 +79,6 @@ def render(result: Fig8Result) -> str:
         rows,
         title=(
             f"Fig. 8: makespan by resource distribution "
-            f"({result.job_count} synthetic jobs, 8 nodes)"
+            f"({result.job_count} synthetic jobs, {result.nodes} nodes)"
         ),
     )

@@ -10,18 +10,16 @@ MCC widens, while all sharing gains shrink relative to MC.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from itertools import product
 
-from ..cluster import ClusterConfig
+from ..cluster import CONFIGURATIONS
 from ..metrics import format_series
 from ..workloads import DISTRIBUTIONS
 from .common import DEFAULT_SEED, PAPER_CLUSTER
-from .runner import SimTask, TaskRunner, execute, sim_task
+from .runner import JobCounts, SimTask, sim_task
 
 #: The cluster sizes Fig. 9's x-axis spans.
 DEFAULT_SIZES = (2, 3, 4, 5, 6, 8)
-
-_CONFIGURATIONS = ("MC", "MCC", "MCCK")
 
 
 @dataclass
@@ -32,61 +30,34 @@ class Fig9Result:
     makespans: dict[str, dict[str, list[float]]]
 
 
-def tasks(
-    jobs: int = 400,
-    sizes: tuple[int, ...] = DEFAULT_SIZES,
-    config: ClusterConfig = PAPER_CLUSTER,
-    seed: int = DEFAULT_SEED,
-    distributions: tuple[str, ...] = DISTRIBUTIONS,
-) -> list[SimTask]:
-    return [
-        sim_task(
-            "fig9", configuration, config.resized(size),
-            ("synthetic", jobs, distribution, seed),
-            label=f"{distribution}/{configuration}@n{size}",
-        )
-        for distribution in distributions
-        for size in sizes
-        for configuration in _CONFIGURATIONS
-    ]
+PARAMS = dict(
+    jobs=400, sizes=DEFAULT_SIZES, config=PAPER_CLUSTER, seed=DEFAULT_SEED,
+    distributions=DISTRIBUTIONS,
+)
+JOBS = JobCounts(quick=120, full=400)
 
 
-def merge(
-    values: list,
-    jobs: int = 400,
-    sizes: tuple[int, ...] = DEFAULT_SIZES,
-    config: ClusterConfig = PAPER_CLUSTER,
-    seed: int = DEFAULT_SEED,
-    distributions: tuple[str, ...] = DISTRIBUTIONS,
-) -> Fig9Result:
-    cursor = iter(values)
-    makespans: dict[str, dict[str, list[float]]] = {}
-    for distribution in distributions:
-        series: dict[str, list[float]] = {c: [] for c in _CONFIGURATIONS}
-        for _size in sizes:
-            for configuration in _CONFIGURATIONS:
-                series[configuration].append(next(cursor)["makespan"])
-        makespans[distribution] = series
-    return Fig9Result(job_count=jobs, sizes=sizes, makespans=makespans)
+def keys(p):
+    return product(p.distributions, p.sizes, CONFIGURATIONS)
 
 
-def run(
-    jobs: int = 400,
-    sizes: tuple[int, ...] = DEFAULT_SIZES,
-    config: ClusterConfig = PAPER_CLUSTER,
-    seed: int = DEFAULT_SEED,
-    distributions: tuple[str, ...] = DISTRIBUTIONS,
-    runner: Optional[TaskRunner] = None,
-) -> Fig9Result:
-    grid = tasks(
-        jobs=jobs, sizes=sizes, config=config, seed=seed,
-        distributions=distributions,
+def cell(p, distribution: str, size: int, configuration: str) -> SimTask:
+    return sim_task(
+        "fig9", configuration, p.config.resized(size),
+        ("synthetic", p.jobs, distribution, p.seed),
+        label=f"{distribution}/{configuration}@n{size}",
     )
-    values = execute(grid, runner)
-    return merge(
-        values, jobs=jobs, sizes=sizes, config=config, seed=seed,
-        distributions=distributions,
-    )
+
+
+def result(p, cells: dict) -> Fig9Result:
+    makespans = {
+        d: {
+            c: [cells[d, size, c]["makespan"] for size in p.sizes]
+            for c in CONFIGURATIONS
+        }
+        for d in p.distributions
+    }
+    return Fig9Result(job_count=p.jobs, sizes=p.sizes, makespans=makespans)
 
 
 def render(result: Fig9Result) -> str:

@@ -9,13 +9,12 @@ distributions. This experiment reruns that measurement on the simulator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from itertools import product
 
-from ..cluster import ClusterConfig
 from ..metrics import format_table
 from ..workloads import DISTRIBUTIONS
-from .common import DEFAULT_SEED, PAPER_CLUSTER
-from .runner import SimTask, TaskRunner, execute, sim_task
+from .common import DEFAULT_SEED, PAPER_CLUSTER, workload_spec
+from .runner import JobCounts, SimTask, sim_task
 
 
 @dataclass
@@ -32,63 +31,34 @@ class MotivationResult:
         return (min(values), max(values))
 
 
-def tasks(
-    real_jobs: int = 1000,
-    synthetic_jobs: int = 400,
-    config: ClusterConfig = PAPER_CLUSTER,
-    seed: int = DEFAULT_SEED,
-) -> list[SimTask]:
-    grid = [
-        sim_task(
-            "motivation", "MC", config, ("table1", real_jobs, seed),
-            label="table1/MC",
-        )
-    ]
-    for distribution in DISTRIBUTIONS:
-        grid.append(
-            sim_task(
-                "motivation", "MC", config,
-                ("synthetic", synthetic_jobs, distribution, seed),
-                label=f"{distribution}/MC",
-            )
-        )
-    return grid
+PARAMS = dict(
+    real_jobs=1000, synthetic_jobs=400, config=PAPER_CLUSTER, seed=DEFAULT_SEED
+)
+JOBS = JobCounts(
+    quick=250, full=1000,
+    params=lambda n: {"real_jobs": n, "synthetic_jobs": max(8, int(n * 0.4))},
+)
 
 
-def merge(
-    values: list,
-    real_jobs: int = 1000,
-    synthetic_jobs: int = 400,
-    config: ClusterConfig = PAPER_CLUSTER,
-    seed: int = DEFAULT_SEED,
-) -> MotivationResult:
-    counts = {"real": real_jobs}
-    synthetic: dict[str, float] = {}
-    for distribution, value in zip(DISTRIBUTIONS, values[1:]):
-        synthetic[distribution] = value["utilization"]
-        counts[distribution] = synthetic_jobs
+def keys(p):
+    return product(("table1", *DISTRIBUTIONS))
+
+
+def cell(p, workload: str) -> SimTask:
+    jobs = p.real_jobs if workload == "table1" else p.synthetic_jobs
+    return sim_task(
+        "motivation", "MC", p.config, workload_spec(workload, jobs, p.seed),
+        label=f"{workload}/MC",
+    )
+
+
+def result(p, cells: dict) -> MotivationResult:
     return MotivationResult(
-        real_mix_utilization=values[0]["utilization"],
-        synthetic_utilization=synthetic,
-        job_counts=counts,
-    )
-
-
-def run(
-    real_jobs: int = 1000,
-    synthetic_jobs: int = 400,
-    config: ClusterConfig = PAPER_CLUSTER,
-    seed: int = DEFAULT_SEED,
-    runner: Optional[TaskRunner] = None,
-) -> MotivationResult:
-    grid = tasks(
-        real_jobs=real_jobs, synthetic_jobs=synthetic_jobs, config=config,
-        seed=seed,
-    )
-    values = execute(grid, runner)
-    return merge(
-        values, real_jobs=real_jobs, synthetic_jobs=synthetic_jobs,
-        config=config, seed=seed,
+        real_mix_utilization=cells["table1",]["utilization"],
+        synthetic_utilization={d: cells[d,]["utilization"] for d in DISTRIBUTIONS},
+        job_counts={
+            "real": p.real_jobs, **dict.fromkeys(DISTRIBUTIONS, p.synthetic_jobs)
+        },
     )
 
 

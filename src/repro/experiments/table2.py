@@ -11,20 +11,22 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Optional
 
-from ..cluster import ClusterConfig
+from ..cluster import CONFIGURATIONS
 from ..metrics import FootprintResult, footprint_from_curve, format_table, percent_reduction
 from .common import DEFAULT_SEED, PAPER_CLUSTER
-from .runner import SimTask, TaskRunner, execute, sim_task
+from .runner import JobCounts, SimTask, sim_task
 
-_CONFIGURATIONS = ("MC", "MCC", "MCCK")
+CONFIGURATIONS = ("MC", "MCC", "MCCK")
 _FOOTPRINT_CONFIGS = ("MCC", "MCCK")
 
 
 @dataclass
 class Table2Result:
     job_count: int
+    nodes: int
     makespans: dict[str, float]  # configuration -> seconds
     footprints: dict[str, FootprintResult]
     mc_utilization: float
@@ -33,72 +35,45 @@ class Table2Result:
         return percent_reduction(self.makespans["MC"], self.makespans[configuration])
 
 
-def tasks(
-    jobs: int = 1000,
-    config: ClusterConfig = PAPER_CLUSTER,
-    seed: int = DEFAULT_SEED,
-    footprint: bool = True,
-) -> list[SimTask]:
-    """The cell grid: three full-size runs, then the footprint sweeps.
+PARAMS = dict(jobs=1000, config=PAPER_CLUSTER, seed=DEFAULT_SEED, footprint=True)
+JOBS = JobCounts(quick=250, full=1000)
 
-    The sequential harness bisected the footprint with an early-exit
-    scan; here every cluster size is an independent cell so the whole
-    sweep parallelises, and ``merge`` reads the footprint off the
+
+def keys(p):
+    """Three full-size runs, then the footprint sweeps.
+
+    Every cluster size of a sweep is an independent cell, so the whole
+    sweep parallelises and ``result`` reads the footprint off the
     finished makespan-vs-size curve.
     """
-    workload = ("table1", jobs, seed)
-    grid = [
-        sim_task("table2", c, config, workload) for c in _CONFIGURATIONS
-    ]
-    if footprint:
-        for c in _FOOTPRINT_CONFIGS:
-            for size in range(1, config.nodes + 1):
-                grid.append(
-                    sim_task("table2", c, config.resized(size), workload)
-                )
-    return grid
-
-
-def merge(
-    values: list,
-    jobs: int = 1000,
-    config: ClusterConfig = PAPER_CLUSTER,
-    seed: int = DEFAULT_SEED,
-    footprint: bool = True,
-) -> Table2Result:
-    head = values[: len(_CONFIGURATIONS)]
-    makespans = {
-        c: v["makespan"] for c, v in zip(_CONFIGURATIONS, head)
-    }
-    footprints: dict[str, FootprintResult] = {}
-    if footprint:
-        target = makespans["MC"]
-        sweep = values[len(_CONFIGURATIONS):]
-        for index, c in enumerate(_FOOTPRINT_CONFIGS):
-            chunk = sweep[index * config.nodes:(index + 1) * config.nodes]
-            curve = {
-                size: v["makespan"]
-                for size, v in zip(range(1, config.nodes + 1), chunk)
-            }
-            footprints[c] = footprint_from_curve(target, curve)
-    return Table2Result(
-        job_count=jobs,
-        makespans=makespans,
-        footprints=footprints,
-        mc_utilization=head[0]["utilization"],
+    full_size = [(c, p.config.nodes) for c in CONFIGURATIONS]
+    if not p.footprint:
+        return full_size
+    return full_size + list(
+        product(_FOOTPRINT_CONFIGS, range(1, p.config.nodes + 1))
     )
 
 
-def run(
-    jobs: int = 1000,
-    config: ClusterConfig = PAPER_CLUSTER,
-    seed: int = DEFAULT_SEED,
-    footprint: bool = True,
-    runner: Optional[TaskRunner] = None,
-) -> Table2Result:
-    grid = tasks(jobs=jobs, config=config, seed=seed, footprint=footprint)
-    values = execute(grid, runner)
-    return merge(values, jobs=jobs, config=config, seed=seed, footprint=footprint)
+def cell(p, configuration: str, size: int) -> SimTask:
+    return sim_task(
+        "table2", configuration, p.config.resized(size), ("table1", p.jobs, p.seed)
+    )
+
+
+def result(p, cells: dict) -> Table2Result:
+    nodes = p.config.nodes
+    makespans = {c: cells[c, nodes]["makespan"] for c in CONFIGURATIONS}
+    footprints: dict[str, FootprintResult] = {}
+    if p.footprint:
+        for c in _FOOTPRINT_CONFIGS:
+            curve = {
+                size: cells[c, size]["makespan"] for size in range(1, nodes + 1)
+            }
+            footprints[c] = footprint_from_curve(makespans["MC"], curve)
+    return Table2Result(
+        job_count=p.jobs, nodes=nodes, makespans=makespans, footprints=footprints,
+        mc_utilization=cells["MC", nodes]["utilization"],
+    )
 
 
 _PAPER = {
@@ -119,10 +94,10 @@ def render(result: Table2Result) -> str:
         if fp is None:
             size, fp_red = "-", "-"
         elif fp.cluster_size is None:
-            size, fp_red = ">8", "-"
+            size, fp_red = f">{result.nodes}", "-"
         else:
             size = str(fp.cluster_size)
-            fp_red = f"{100 * (1 - fp.cluster_size / 8):.1f}%"
+            fp_red = f"{100 * (1 - fp.cluster_size / result.nodes):.1f}%"
         paper = _PAPER[configuration]
         rows.append(
             [
@@ -146,6 +121,7 @@ def render(result: Table2Result) -> str:
         rows,
         title=(
             f"Table II: makespan & footprint, {result.job_count} Table-I jobs, "
-            f"8-node cluster (MC utilization {100 * result.mc_utilization:.0f}%)"
+            f"{result.nodes}-node cluster "
+            f"(MC utilization {100 * result.mc_utilization:.0f}%)"
         ),
     )

@@ -8,13 +8,12 @@ makespan matches the 8-node MC baseline. Paper: MCCK 5 / 5 / 3 / 6 nodes
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from itertools import product
 
-from ..cluster import ClusterConfig
 from ..metrics import FootprintResult, footprint_from_curve, format_table
 from ..workloads import DISTRIBUTIONS
 from .common import DEFAULT_SEED, PAPER_CLUSTER
-from .runner import SimTask, TaskRunner, execute, sim_task
+from .runner import JobCounts, SimTask, sim_task
 
 _FOOTPRINT_CONFIGS = ("MCC", "MCCK")
 
@@ -22,74 +21,55 @@ _FOOTPRINT_CONFIGS = ("MCC", "MCCK")
 @dataclass
 class Table3Result:
     job_count: int
+    nodes: int
     #: footprints[distribution][configuration]
     footprints: dict[str, dict[str, FootprintResult]]
     mc_makespans: dict[str, float]
 
 
-def tasks(
-    jobs: int = 400,
-    config: ClusterConfig = PAPER_CLUSTER,
-    seed: int = DEFAULT_SEED,
-    distributions: tuple[str, ...] = DISTRIBUTIONS,
-) -> list[SimTask]:
+PARAMS = dict(
+    jobs=400, config=PAPER_CLUSTER, seed=DEFAULT_SEED, distributions=DISTRIBUTIONS
+)
+JOBS = JobCounts(quick=120, full=400)
+
+
+def keys(p):
     """Per distribution: the MC target, then full footprint sweeps."""
-    grid: list[SimTask] = []
-    for distribution in distributions:
-        workload = ("synthetic", jobs, distribution, seed)
-        grid.append(
-            sim_task(
-                "table3", "MC", config, workload,
-                label=f"{distribution}/MC@n{config.nodes}",
-            )
-        )
-        for c in _FOOTPRINT_CONFIGS:
-            for size in range(1, config.nodes + 1):
-                grid.append(
-                    sim_task(
-                        "table3", c, config.resized(size), workload,
-                        label=f"{distribution}/{c}@n{size}",
-                    )
-                )
-    return grid
+    sizes = range(1, p.config.nodes + 1)
+    return [
+        key
+        for d in p.distributions
+        for key in [
+            (d, "MC", p.config.nodes),
+            *product((d,), _FOOTPRINT_CONFIGS, sizes),
+        ]
+    ]
 
 
-def merge(
-    values: list,
-    jobs: int = 400,
-    config: ClusterConfig = PAPER_CLUSTER,
-    seed: int = DEFAULT_SEED,
-    distributions: tuple[str, ...] = DISTRIBUTIONS,
-) -> Table3Result:
-    footprints: dict[str, dict[str, FootprintResult]] = {}
-    mc_makespans: dict[str, float] = {}
-    cursor = iter(values)
-    for distribution in distributions:
-        target = next(cursor)["makespan"]
-        mc_makespans[distribution] = target
-        footprints[distribution] = {}
-        for c in _FOOTPRINT_CONFIGS:
-            curve = {
-                size: next(cursor)["makespan"]
-                for size in range(1, config.nodes + 1)
-            }
-            footprints[distribution][c] = footprint_from_curve(target, curve)
-    return Table3Result(
-        job_count=jobs, footprints=footprints, mc_makespans=mc_makespans
+def cell(p, distribution: str, configuration: str, size: int) -> SimTask:
+    return sim_task(
+        "table3", configuration, p.config.resized(size),
+        ("synthetic", p.jobs, distribution, p.seed),
+        label=f"{distribution}/{configuration}@n{size}",
     )
 
 
-def run(
-    jobs: int = 400,
-    config: ClusterConfig = PAPER_CLUSTER,
-    seed: int = DEFAULT_SEED,
-    distributions: tuple[str, ...] = DISTRIBUTIONS,
-    runner: Optional[TaskRunner] = None,
-) -> Table3Result:
-    grid = tasks(jobs=jobs, config=config, seed=seed, distributions=distributions)
-    values = execute(grid, runner)
-    return merge(
-        values, jobs=jobs, config=config, seed=seed, distributions=distributions
+def result(p, cells: dict) -> Table3Result:
+    nodes = p.config.nodes
+    mc_makespans = {d: cells[d, "MC", nodes]["makespan"] for d in p.distributions}
+    footprints = {
+        d: {
+            c: footprint_from_curve(
+                mc_makespans[d],
+                {s: cells[d, c, s]["makespan"] for s in range(1, nodes + 1)},
+            )
+            for c in _FOOTPRINT_CONFIGS
+        }
+        for d in p.distributions
+    }
+    return Table3Result(
+        job_count=p.jobs, nodes=nodes, footprints=footprints,
+        mc_makespans=mc_makespans,
     )
 
 
@@ -116,9 +96,9 @@ def render(result: Table3Result) -> str:
         rows.append(
             [
                 distribution,
-                "8",
-                _cell(by_config["MCC"], 8),
-                _cell(by_config["MCCK"], 8),
+                str(result.nodes),
+                _cell(by_config["MCC"], result.nodes),
+                _cell(by_config["MCCK"], result.nodes),
                 f"(paper: MCC {paper[0]}, MCCK {paper[1]})",
             ]
         )
@@ -126,7 +106,7 @@ def render(result: Table3Result) -> str:
         ["distribution", "MC", "MCC", "MCCK", "paper reference"],
         rows,
         title=(
-            f"Table III: footprint (cluster size matching the 8-node MC "
+            f"Table III: footprint (cluster size matching the {result.nodes}-node MC "
             f"makespan), {result.job_count} jobs"
         ),
     )

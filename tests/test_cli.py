@@ -66,6 +66,22 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "(1 computed, 0 cached)" in out
 
+    def test_slowest_cells_header_counts_duplicates(self, capsys):
+        assert main(["table2", "--job-count", "12", "--no-cache"]) == 0
+        out = capsys.readouterr().out
+        assert "(17 computed, 0 cached, 2 duplicate)]" in out
+        assert (
+            "[  table2: slowest 10 of 19 cells "
+            "(17 computed, 0 cached, 2 duplicate):]"
+        ) in out
+
+    def test_replication_seeds_follow_seed_flag(self, capsys):
+        argv = ["ext-replication", "--job-count", "12", "--no-cache"]
+        assert main([*argv, "--seed", "7"]) == 0
+        assert "seeds [7, 8, 9, 10, 11]" in capsys.readouterr().out
+        assert main(argv) == 0
+        assert "seeds [42, 43, 44, 45, 46]" in capsys.readouterr().out
+
     def test_save_writes_artifact(self, tmp_path, monkeypatch, capsys):
         results = tmp_path / "results"
         monkeypatch.setenv("REPRO_RESULTS_DIR", str(results))

@@ -3,7 +3,7 @@
 from repro.cluster import ClusterConfig
 from repro.experiments import ext_crash, ext_faults
 from repro.experiments.cache import ResultCache
-from repro.experiments.runner import SimTask, TaskRunner
+from repro.experiments.runner import SimTask, TaskRunner, plan
 from repro.faults import FaultProfile, derive_fault_seed
 from repro.net import NetProfile, derive_net_seed
 
@@ -20,7 +20,7 @@ def _run(runner=None, **kwargs):
 
 class TestGrid:
     def test_tasks_shape(self):
-        grid = ext_crash.tasks(jobs=20, rates=RATES, config=SMALL, seed=7)
+        grid = plan(ext_crash, jobs=20, rates=RATES, config=SMALL, seed=7).tasks
         assert len(grid) == len(RATES) * 3  # MC, MCC, MCCK per rate
         assert all(t.kind == "sim" for t in grid)
         assert all(t.experiment == "ext-crash" for t in grid)
@@ -28,13 +28,13 @@ class TestGrid:
         assert "MC@0/ks" in labels and "MCCK@4/ks" in labels
 
     def test_rate_zero_cells_run_without_faults_or_fabric(self):
-        grid = ext_crash.tasks(jobs=20, rates=(0.0,), config=SMALL, seed=7)
+        grid = plan(ext_crash, jobs=20, rates=(0.0,), config=SMALL, seed=7).tasks
         for task in grid:
             assert task.kwargs()["faults"] is None
             assert task.kwargs()["net"] is None
 
     def test_crash_cells_carry_profile_and_quiet_fabric(self):
-        grid = ext_crash.tasks(jobs=20, rates=(2.0,), config=SMALL, seed=7)
+        grid = plan(ext_crash, jobs=20, rates=(2.0,), config=SMALL, seed=7).tasks
         for task in grid:
             faults = task.kwargs()["faults"]
             assert faults == FaultProfile(daemon_crash_rate=2.0)
@@ -43,9 +43,10 @@ class TestGrid:
             assert task.kwargs()["net"] == NetProfile()
 
     def test_scripted_crashes_force_faults_even_at_rate_zero(self):
-        grid = ext_crash.tasks(
+        grid = plan(
+            ext_crash,
             jobs=20, rates=(0.0,), crashes=SCRIPTED, config=SMALL, seed=7
-        )
+        ).tasks
         for task in grid:
             faults = task.kwargs()["faults"]
             assert faults is not None
@@ -53,20 +54,18 @@ class TestGrid:
             assert task.kwargs()["net"] is not None
 
     def test_seeds_derived_from_workload_seed(self):
-        grid = ext_crash.tasks(jobs=20, rates=RATES, config=SMALL, seed=7)
+        grid = plan(ext_crash, jobs=20, rates=RATES, config=SMALL, seed=7).tasks
         for task in grid:
             assert task.kwargs()["fault_seed"] == derive_fault_seed(7)
             assert task.kwargs()["net_seed"] == derive_net_seed(7)
 
     def test_merge_aligns_cells(self):
-        grid = ext_crash.tasks(jobs=20, rates=RATES, config=SMALL, seed=7)
+        grid = plan(ext_crash, jobs=20, rates=RATES, config=SMALL, seed=7)
         values = [
             {"tag": i, "makespan": 1.0, "completed": 1}
-            for i in range(len(grid))
+            for i in range(len(grid.tasks))
         ]
-        result = ext_crash.merge(
-            values, jobs=20, rates=RATES, config=SMALL, seed=7
-        )
+        result = grid.result(values)
         assert result.cells["MC"][0]["tag"] == 0
         assert result.cells["MCC"][0]["tag"] == 1
         assert result.cells["MCCK"][1]["tag"] == 5

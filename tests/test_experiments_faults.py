@@ -5,7 +5,7 @@ import pytest
 from repro.cluster import ClusterConfig
 from repro.experiments import ext_faults
 from repro.experiments.cache import ResultCache
-from repro.experiments.runner import SimTask, TaskRunner
+from repro.experiments.runner import SimTask, TaskRunner, plan
 from repro.faults import FaultProfile, derive_fault_seed
 
 SMALL = ClusterConfig(nodes=2, cycle_interval=2.0)
@@ -19,25 +19,28 @@ def _run(runner=None):
 
 class TestGrid:
     def test_tasks_shape(self):
-        grid = ext_faults.tasks(jobs=30, rates=RATES, config=SMALL, seed=7)
+        grid = plan(ext_faults, jobs=30, rates=RATES, config=SMALL, seed=7).tasks
         assert len(grid) == len(RATES) * 3  # MC, MCC, MCCK per rate
         assert all(t.kind == "sim" for t in grid)
         assert all(t.experiment == "ext-faults" for t in grid)
 
     def test_rate_zero_cells_carry_no_profile(self):
-        grid = ext_faults.tasks(jobs=30, rates=(0.0,), config=SMALL, seed=7)
+        grid = plan(ext_faults, jobs=30, rates=(0.0,), config=SMALL, seed=7).tasks
         for task in grid:
             assert task.kwargs()["faults"] is None
 
     def test_fault_seed_derived_from_workload_seed(self):
-        grid = ext_faults.tasks(jobs=30, rates=RATES, config=SMALL, seed=7)
+        grid = plan(ext_faults, jobs=30, rates=RATES, config=SMALL, seed=7).tasks
         for task in grid:
             assert task.kwargs()["fault_seed"] == derive_fault_seed(7)
 
     def test_merge_aligns_cells(self):
-        grid = ext_faults.tasks(jobs=30, rates=RATES, config=SMALL, seed=7)
-        values = [{"tag": i, "makespan": 1.0, "completed": 1} for i in range(len(grid))]
-        result = ext_faults.merge(values, jobs=30, rates=RATES, config=SMALL, seed=7)
+        grid = plan(ext_faults, jobs=30, rates=RATES, config=SMALL, seed=7)
+        values = [
+            {"tag": i, "makespan": 1.0, "completed": 1}
+            for i in range(len(grid.tasks))
+        ]
+        result = grid.result(values)
         assert result.cells["MC"][0]["tag"] == 0
         assert result.cells["MCC"][0]["tag"] == 1
         assert result.cells["MCCK"][1]["tag"] == 5
@@ -112,13 +115,13 @@ class TestRegistration:
         assert EXPERIMENTS["ext-faults"] is ext_faults
 
     def test_cli_fault_rate_flag(self):
-        from repro.cli import _experiment_kwargs
+        from repro.cli import _overrides
 
-        kwargs = _experiment_kwargs(
-            "ext-faults", 30, 7, 1.0, fault_rates=[0.0, 2.0]
+        kwargs = _overrides(
+            "ext-faults", 30, 7, 1.0, flags={"--fault-rate": [0.0, 2.0]}
         )
         assert kwargs["rates"] == (0.0, 2.0)
         assert kwargs["jobs"] == 30
         # Other experiments ignore the flag.
-        other = _experiment_kwargs("fig8", 30, 7, 1.0, fault_rates=[2.0])
+        other = _overrides("fig8", 30, 7, 1.0, flags={"--fault-rate": [2.0]})
         assert "rates" not in other

@@ -5,7 +5,7 @@ import pytest
 from repro.cluster import ClusterConfig
 from repro.experiments import ext_netchaos
 from repro.experiments.cache import ResultCache
-from repro.experiments.runner import SimTask, TaskRunner
+from repro.experiments.runner import SimTask, TaskRunner, plan
 from repro.net import NetProfile, PartitionSpec, derive_net_seed
 
 SMALL = ClusterConfig(nodes=2, cycle_interval=2.0)
@@ -20,7 +20,7 @@ def _run(runner=None, **kwargs):
 
 class TestGrid:
     def test_tasks_shape(self):
-        grid = ext_netchaos.tasks(jobs=20, losses=LOSSES, config=SMALL, seed=7)
+        grid = plan(ext_netchaos, jobs=20, losses=LOSSES, config=SMALL, seed=7).tasks
         assert len(grid) == len(LOSSES) * 3  # MC, MCC, MCCK per loss
         assert all(t.kind == "sim" for t in grid)
         assert all(t.experiment == "ext-netchaos" for t in grid)
@@ -28,40 +28,39 @@ class TestGrid:
         assert "MC@loss0" in labels and "MCCK@loss0.1" in labels
 
     def test_loss_zero_cells_run_without_fabric(self):
-        grid = ext_netchaos.tasks(jobs=20, losses=(0.0,), config=SMALL, seed=7)
+        grid = plan(ext_netchaos, jobs=20, losses=(0.0,), config=SMALL, seed=7).tasks
         for task in grid:
             assert task.kwargs()["net"] is None
 
     def test_lossy_cells_carry_chaos_profile(self):
-        grid = ext_netchaos.tasks(jobs=20, losses=(0.05,), config=SMALL, seed=7)
+        grid = plan(ext_netchaos, jobs=20, losses=(0.05,), config=SMALL, seed=7).tasks
         for task in grid:
             net = task.kwargs()["net"]
             assert net == NetProfile.chaos(0.05)
 
     def test_partitions_force_fabric_even_at_loss_zero(self):
         cut = (PartitionSpec(10.0, 20.0, "startd:*"),)
-        grid = ext_netchaos.tasks(
+        grid = plan(
+            ext_netchaos,
             jobs=20, losses=(0.0,), partitions=cut, config=SMALL, seed=7
-        )
+        ).tasks
         for task in grid:
             net = task.kwargs()["net"]
             assert net is not None
             assert net.partitions == cut
 
     def test_net_seed_derived_from_workload_seed(self):
-        grid = ext_netchaos.tasks(jobs=20, losses=LOSSES, config=SMALL, seed=7)
+        grid = plan(ext_netchaos, jobs=20, losses=LOSSES, config=SMALL, seed=7).tasks
         for task in grid:
             assert task.kwargs()["net_seed"] == derive_net_seed(7)
 
     def test_merge_aligns_cells(self):
-        grid = ext_netchaos.tasks(jobs=20, losses=LOSSES, config=SMALL, seed=7)
+        grid = plan(ext_netchaos, jobs=20, losses=LOSSES, config=SMALL, seed=7)
         values = [
             {"tag": i, "makespan": 1.0, "completed": 1}
-            for i in range(len(grid))
+            for i in range(len(grid.tasks))
         ]
-        result = ext_netchaos.merge(
-            values, jobs=20, losses=LOSSES, config=SMALL, seed=7
-        )
+        result = grid.result(values)
         assert result.cells["MC"][0]["tag"] == 0
         assert result.cells["MCC"][0]["tag"] == 1
         assert result.cells["MCCK"][1]["tag"] == 5
@@ -139,17 +138,19 @@ class TestRegistration:
         assert EXPERIMENTS["ext-netchaos"] is ext_netchaos
 
     def test_cli_net_flags(self):
-        from repro.cli import _experiment_kwargs
+        from repro.cli import _overrides
 
-        kwargs = _experiment_kwargs(
+        kwargs = _overrides(
             "ext-netchaos", 20, 7, 1.0,
-            net_losses=[0.0, 0.05],
-            net_delay=0.2,
-            net_partitions=[PartitionSpec(10.0, 20.0, "startd:*")],
+            flags={
+                "--net-loss": [0.0, 0.05],
+                "--net-delay": 0.2,
+                "--net-partition": [PartitionSpec(10.0, 20.0, "startd:*")],
+            },
         )
         assert kwargs["losses"] == (0.0, 0.05)
         assert kwargs["delay_s"] == 0.2
         assert kwargs["partitions"] == (PartitionSpec(10.0, 20.0, "startd:*"),)
         # Other experiments ignore the flags.
-        other = _experiment_kwargs("fig8", 20, 7, 1.0, net_losses=[0.05])
+        other = _overrides("fig8", 20, 7, 1.0, flags={"--net-loss": [0.05]})
         assert "losses" not in other
