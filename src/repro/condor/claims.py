@@ -64,6 +64,7 @@ from ..net.fabric import (
 )
 from ..net.profile import NetProfile
 from ..sim import Environment
+from ..sim.events import URGENT
 from .collector import Collector
 from .schedd import (
     CLAIM_CLOSE,
@@ -172,9 +173,7 @@ class ScheddClaimManager:
                 "exclusive": payload["exclusive"],
             },
         )
-        self.env.process(
-            self._match_watchdog(record, token), name=f"match-timeout:{job_id}"
-        )
+        self._watch_match(record, token, self.env.now + self.profile.match_timeout_s)
 
     def _on_reject(self, msg: Message) -> None:
         payload = msg.payload
@@ -203,9 +202,7 @@ class ScheddClaimManager:
             self._claims[token] = claim
             self._publish(CLAIM_OPEN, claim)
             self.schedd.mark_running(job_id, payload["node"], payload["device"])
-            self.env.process(
-                self._renewal_loop(record, claim), name=f"lease:{job_id}"
-            )
+            self._renew_later(record, claim)
         else:
             # An orphan run from a match we abandoned: reap it early.
             self._stale("job-started", job_id)
@@ -241,13 +238,19 @@ class ScheddClaimManager:
 
     # -- timers -----------------------------------------------------------
 
-    def _match_watchdog(
-        self, record: JobRecord, token: int, deadline: float | None = None
-    ):
-        if deadline is None:
-            deadline = self.env.now + self.profile.match_timeout_s
-        if deadline > self.env.now:
-            yield self.env.timeout(deadline - self.env.now)
+    def _watch_match(self, record: JobRecord, token: int, deadline: float) -> None:
+        """Revert the match at ``deadline`` unless its claim opened.
+
+        A deadline already past fires in an URGENT slot of this instant.
+        """
+        env = self.env
+        if deadline > env.now:
+            timer = env.timeout(deadline - env.now)
+        else:
+            timer = env.timeout_at(env.now, priority=URGENT)
+        timer.callbacks.append(lambda _event: self._match_expired(record, token))
+
+    def _match_expired(self, record: JobRecord, token: int) -> None:
         if self.schedd._records.get(record.job_id) is not record:
             # Stale closure: a crash–recovery replay replaced this record
             # object and restarted its own watchdog against the journal.
@@ -256,45 +259,57 @@ class ScheddClaimManager:
             self.match_timeouts += 1
             self.schedd.unmatch(record.job_id, cause=MATCH_TIMEOUT)
 
-    def _renewal_loop(self, record: JobRecord, claim: _Claim):
+    def _renew_later(self, record: JobRecord, claim: _Claim) -> None:
+        self.env.timeout(self.profile.renew_interval_s).callbacks.append(
+            lambda _event: self._renew(record, claim)
+        )
+
+    def _renew(self, record: JobRecord, claim: _Claim) -> None:
+        """One renewal tick: renew the lease, or stop and drain."""
+        if claim.closed:
+            return
+        env = self.env
         profile = self.profile
         # Tolerate one full lease of silence before giving up — the
         # startd-side lease is still live for that long after its last
         # acknowledged renewal, so stopping earlier would waste claims.
-        grace = profile.lease_duration_s
-        while True:
-            yield self.env.timeout(profile.renew_interval_s)
-            if claim.closed:
-                return
-            if self.env.now - claim.last_acked_send > grace:
-                break
-            claim.last_sent = self.env.now
-
-            def _acked(msg: Message, claim: _Claim = claim) -> None:
-                if msg.send_time > claim.last_acked_send:
-                    claim.last_acked_send = msg.send_time
-
-            self.fabric.send(
-                SCHEDD,
-                startd_endpoint(claim.node),
-                MSG_LEASE_RENEW,
-                {"job_id": claim.job_id, "token": claim.token},
-                on_delivered=_acked,
+        if env.now - claim.last_acked_send > profile.lease_duration_s:
+            # Stop-then-drain: no renewal will be sent after
+            # ``last_sent``, so the startd's lease — extended at most to
+            # the send time of a renewal, never its delivery time —
+            # expires by ``last_sent + lease_duration_s``. Waiting past
+            # that (plus one renew interval of slack for the kill to
+            # unwind) guarantees the old run is dead before the job is
+            # requeued: no double-run.
+            deadline = (
+                claim.last_sent
+                + profile.lease_duration_s
+                + profile.renew_interval_s
             )
-            self._publish(LEASE_RENEW, claim)
-        # Stop-then-drain: no renewal will be sent after ``last_sent``,
-        # so the startd's lease — extended at most to the send time of a
-        # renewal, never its delivery time — expires by
-        # ``last_sent + lease_duration_s``. Waiting past that (plus one
-        # renew interval of slack for the kill to unwind) guarantees the
-        # old run is dead before the job is requeued: no double-run.
-        deadline = (
-            claim.last_sent
-            + profile.lease_duration_s
-            + profile.renew_interval_s
+            if deadline > env.now:
+                env.timeout(deadline - env.now).callbacks.append(
+                    lambda _event: self._drained(record, claim)
+                )
+            else:
+                self._drained(record, claim)
+            return
+        claim.last_sent = env.now
+
+        def acked(msg: Message) -> None:
+            if msg.send_time > claim.last_acked_send:
+                claim.last_acked_send = msg.send_time
+
+        self.fabric.send(
+            SCHEDD,
+            startd_endpoint(claim.node),
+            MSG_LEASE_RENEW,
+            {"job_id": claim.job_id, "token": claim.token},
+            on_delivered=acked,
         )
-        if deadline > self.env.now:
-            yield self.env.timeout(deadline - self.env.now)
+        self._publish(LEASE_RENEW, claim)
+        self._renew_later(record, claim)
+
+    def _drained(self, record: JobRecord, claim: _Claim) -> None:
         if claim.closed:
             return  # the job-done report made it through after all
         self._declare_lost(record, claim)
@@ -326,9 +341,10 @@ class ScheddClaimManager:
     def crash(self) -> None:
         """Drop all claim state: the daemon holding it just died.
 
-        The renewal loops and watchdogs notice through their ``closed``
-        and record-identity checks; no per-claim audit events fire — the
-        auditor's ``schedd_crashed`` wipes the claim ledger wholesale.
+        Pending renewal and match timers still fire and find their claim
+        closed or their record replaced, so they do nothing; no
+        per-claim audit events fire — the auditor's ``schedd_crashed``
+        wipes the claim ledger wholesale.
         """
         for claim in list(self._claims.values()):
             claim.closed = True
@@ -338,10 +354,10 @@ class ScheddClaimManager:
         """Re-adopt a replayed RUNNING job under its journaled claim token.
 
         Rebuilds the schedd-side claim entry and restarts its renewal
-        loop. The lease clock restarts at the recovery instant: if the
+        timer. The lease clock restarts at the recovery instant: if the
         startd is healthy the next renewal re-establishes the lease; if
-        it is gone, the loop's stop-then-drain path declares the claim
-        lost and the job flows into the normal retry/backoff path.
+        it is gone, the stop-then-drain path declares the claim lost and
+        the job flows into the normal retry/backoff path.
         """
         now = self.env.now
         claim = _Claim(
@@ -354,9 +370,7 @@ class ScheddClaimManager:
         )
         self._claims[claim.token] = claim
         self._publish(CLAIM_OPEN, claim)
-        self.env.process(
-            self._renewal_loop(record, claim), name=f"lease:{record.job_id}"
-        )
+        self._renew_later(record, claim)
 
     def restart_watchdog(self, record: JobRecord, deadline: float) -> None:
         """Restore a MATCHED job's watchdog against its original deadline.
@@ -366,10 +380,7 @@ class ScheddClaimManager:
         lease by then (``match_timeout_s > lease_duration_s``), so the
         re-offer cannot overlap a live run.
         """
-        self.env.process(
-            self._match_watchdog(record, record.claim_token, deadline),
-            name=f"match-timeout:{record.job_id}",
-        )
+        self._watch_match(record, record.claim_token, deadline)
 
     # -- internals --------------------------------------------------------
 
@@ -462,10 +473,7 @@ class StartdClaimAgent:
                 "device": payload["device"],
             },
         )
-        self.env.process(
-            self._watchdog(lease),
-            name=f"lease-watchdog:{job_id}@{self.startd.name}",
-        )
+        self._watch(lease)
 
     def _on_renew(self, msg: Message) -> None:
         lease = self._leases.get(msg.payload["token"])
@@ -511,10 +519,16 @@ class StartdClaimAgent:
 
     # -- the lease watchdog -----------------------------------------------
 
-    def _watchdog(self, lease: Lease):
-        while not lease.closed and self.env.now < lease.expires_at:
-            yield self.env.timeout(lease.expires_at - self.env.now)
+    def _watch(self, lease: Lease) -> None:
+        """Sleep until the lease's expiry, again while renewals extend
+        it; kill the run when it lapses."""
         if lease.closed:
+            return
+        env = self.env
+        if env.now < lease.expires_at:
+            env.timeout(lease.expires_at - env.now).callbacks.append(
+                lambda _event: self._watch(lease)
+            )
             return
         self.lease_expiries += 1
         self._publish(LEASE_EXPIRY, lease)
@@ -556,16 +570,16 @@ class CollectorAgent:
             # Seed the store with the registration-time (birth) ad so
             # the first negotiation cycles don't see an empty pool.
             collector.store_update(startd.snapshot(), env.now)
-            env.process(
-                self._publisher(startd),
-                name=f"collector-update:{startd.name}",
-            )
+            self._advertise_later(startd)
 
-    def _publisher(self, startd: Startd):
-        interval = self.profile.update_interval_s
-        while True:
-            yield self.env.timeout(interval)
-            self._advertise(startd)
+    def _advertise_later(self, startd: Startd) -> None:
+        self.env.timeout(self.profile.update_interval_s).callbacks.append(
+            lambda _event: self._publish_tick(startd)
+        )
+
+    def _publish_tick(self, startd: Startd) -> None:
+        self._advertise(startd)
+        self._advertise_later(startd)
 
     def _advertise(self, startd: Startd) -> None:
         if not startd.alive:

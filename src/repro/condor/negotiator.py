@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from time import perf_counter
 from typing import Optional
 
 from ..net.fabric import COLLECTOR as NET_COLLECTOR
@@ -414,7 +413,6 @@ class Negotiator:
         tracer = _trace.ACTIVE
         registry = _metrics.ACTIVE
         prof = _profile.ACTIVE
-        wall_start = perf_counter() if registry is not None else 0.0
         stats = CycleStats()
         # One lazy view in every mode — a cycle's cost scales with the
         # machines it actually probes, not the cluster size.
@@ -541,12 +539,6 @@ class Negotiator:
             registry.counter("negotiator.pin_hits").inc(stats.pin_routed)
             registry.counter("negotiator.full_scans").inc(stats.full_scans)
             registry.histogram("negotiator.cycle_matches").observe(matched)
-            # The one wall-clock metric: host-side cost of a cycle, as
-            # production schedulers report it. Lives only in metrics so
-            # trace export stays deterministic.
-            registry.histogram("negotiator.cycle_wall_ms").observe(
-                (perf_counter() - wall_start) * 1e3
-            )
         return matched
 
     def _send_match(

@@ -12,10 +12,12 @@ provides:
 * **Loss / duplication**: per-attempt seeded coin flips.
 * **Scripted partitions**: windows during which matching endpoints are
   unreachable (drops at send time; retransmission rides it out).
-* **At-least-once delivery**: a per-message retransmit timer (a bare
-  timeout with a callback, no process) resends on a seeded exponential
-  backoff until an acknowledgement arrives. Acks travel through the
-  same lossy weather.
+* **At-least-once delivery**: each attempt pushes a retransmit
+  deadline (a seeded exponential backoff) onto one heap per fabric,
+  and one kernel timer is armed at the earliest deadline not yet
+  acknowledged, so an acked message costs no timer event. When the
+  timer fires it resends the due, unacked messages and re-arms. Acks
+  travel through the same lossy weather.
 * **Idempotent, in-order dispatch**: the receiver side of each link
   drops duplicate sequence numbers (re-acking them — the ack may have
   been the lost half) and buffers ahead-of-sequence arrivals until the
@@ -31,8 +33,9 @@ so a fixed seed replays byte-identically. No wall clock, no builtin
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from dataclasses import dataclass
+from heapq import heappop, heappush
+from typing import Callable, Optional
 
 import random
 
@@ -116,6 +119,15 @@ class MessageFabric:
         # Partition windows already announced to the tracer (by index),
         # so each window emits one open instant, not one per drop.
         self._announced: set[int] = set()
+        # Sends of this instant awaiting their first attempt, in send
+        # order; non-empty exactly while a flush event is queued.
+        self._pending: list[tuple[Message, _Outstanding]] = []
+        # Retransmit deadlines ``(deadline, n, message, out, attempt,
+        # rto)``; ``n`` keeps equal deadlines in push order.
+        self._deadlines: list[tuple] = []
+        self._pushed = 0
+        # Fire times of the kernel timers armed and not yet fired.
+        self._timers: list[float] = []
 
     # -- wiring -----------------------------------------------------------
 
@@ -131,7 +143,7 @@ class MessageFabric:
     def set_down(self, endpoint: str) -> None:
         """Take an endpoint offline: it neither sends nor receives.
 
-        In-flight retransmit timers keep firing; delivery resumes once
+        Retransmit deadlines keep falling due; delivery resumes once
         the endpoint comes back (daemon restart keeps the TCP analogy
         simple: the transport state survives).
         """
@@ -173,16 +185,15 @@ class MessageFabric:
         registry = _metrics.ACTIVE
         if registry is not None:
             registry.counter("net.messages").inc()
-        out = _Outstanding(on_delivered)
-        # The first attempt runs in an URGENT slot of this instant (where
-        # a process start would run), keeping the RNG draw order.
-        start = Event(self.env)
-        start.callbacks.append(
-            lambda _event: self._attempt(
-                message, out, 1, self.profile.rto_initial_s
-            )
-        )
-        start.succeed(priority=URGENT)
+        # The first attempt runs in an URGENT slot of this instant, one
+        # flush for every send of the instant, drained in send order:
+        # only fabric events draw from its RNG, so the draw order is
+        # that of one URGENT slot per send.
+        if not self._pending:
+            flush = Event(self.env)
+            flush.callbacks.append(self._flush)
+            flush.succeed(priority=URGENT)
+        self._pending.append((message, _Outstanding(on_delivered)))
         return message
 
     # -- internals --------------------------------------------------------
@@ -214,25 +225,56 @@ class MessageFabric:
                 return True
         return False
 
+    def _flush(self, _event: Event) -> None:
+        pending, self._pending = self._pending, []
+        rto = self.profile.rto_initial_s
+        for message, out in pending:
+            self._attempt(message, out, 1, rto)
+        self._arm()
+
     def _attempt(
         self, message: Message, out: _Outstanding, attempt: int, rto: float
     ) -> None:
-        """Transmit, then arm the retransmit timer, which resends on a
-        seeded exponential backoff until the message is acked."""
+        """Transmit, then push the retransmit deadline; the caller arms
+        the timer once its batch of attempts is done."""
         self._transmit(message, out, attempt)
         # Seeded jitter on the backoff so simultaneous losses don't
         # retransmit in lockstep (the same storm-avoidance argument as
         # RetryPolicy jitter, at the transport layer).
-        timer = self.env.timeout(rto * (0.5 + self.rng.random()))
+        deadline = self.env.now + rto * (0.5 + self.rng.random())
+        self._pushed += 1
+        heappush(
+            self._deadlines, (deadline, self._pushed, message, out, attempt, rto)
+        )
 
-        def retransmit(_event) -> None:
+    def _arm(self) -> None:
+        """Arm a kernel timer at the earliest unacked deadline, unless
+        one is already armed at or before it."""
+        deadlines = self._deadlines
+        while deadlines and deadlines[0][3].acked:
+            heappop(deadlines)
+        if not deadlines:
+            return
+        when = deadlines[0][0]
+        timers = self._timers
+        if timers and timers[0] <= when:
+            return
+        heappush(timers, when)
+        self.env.timeout_at(when).callbacks.append(self._retransmit_due)
+
+    def _retransmit_due(self, _event: Event) -> None:
+        """Resend every due, unacked message in deadline order, then
+        re-arm (a timer armed before an earlier one finds nothing due)."""
+        heappop(self._timers)
+        now = self.env.now
+        profile = self.profile
+        deadlines = self._deadlines
+        while deadlines and deadlines[0][0] <= now:
+            _, _, message, out, attempt, rto = heappop(deadlines)
             if not out.acked:
-                backoff = rto * self.profile.rto_backoff
-                self._attempt(
-                    message, out, attempt + 1, min(backoff, self.profile.rto_max_s)
-                )
-
-        timer.callbacks.append(retransmit)
+                backoff = min(rto * profile.rto_backoff, profile.rto_max_s)
+                self._attempt(message, out, attempt + 1, backoff)
+        self._arm()
 
     def _transmit(self, message: Message, out: _Outstanding, attempt: int) -> None:
         profile = self.profile
@@ -258,17 +300,20 @@ class MessageFabric:
         if lost:
             self.stats.losses += 1
             return
-        self._schedule(delay, lambda: self._deliver(message, out))
+
+        def deliver(_event: Event) -> None:
+            self._deliver(message, out)
+
+        self._schedule(delay, deliver)
         if duplicated:
             self.stats.duplicates_sent += 1
             dup_delay = profile.delay_base_s + rng.random() * profile.delay_jitter_s
-            self._schedule(dup_delay, lambda: self._deliver(message, out))
+            self._schedule(dup_delay, deliver)
 
-    def _schedule(self, delay: float, action: Callable[[], None]) -> None:
-        # A bare timeout with a callback appended — one heap event per
+    def _schedule(self, delay: float, action: Callable[[Event], None]) -> None:
+        # A bare timeout with its callback appended — one heap event per
         # flight, no generator process.
-        timeout = self.env.timeout(delay)
-        timeout.callbacks.append(lambda _event: action())
+        self.env.timeout(delay).callbacks.append(action)
 
     def _deliver(self, message: Message, out: _Outstanding) -> None:
         if message.dst in self._down:
@@ -314,7 +359,7 @@ class MessageFabric:
         if lost:
             self.stats.acks_lost += 1
             return
-        self._schedule(delay, lambda: self._ack_arrived(message, out))
+        self._schedule(delay, lambda _event: self._ack_arrived(message, out))
 
     def _ack_arrived(self, message: Message, out: _Outstanding) -> None:
         if out.acked:

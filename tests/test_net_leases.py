@@ -9,6 +9,7 @@ no ledger leak) — under arbitrary network weather.
 """
 
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro.cluster.node import ComputeNode
 from repro.condor import COMPLETED, FAILED, CondorPool, RandomPlacement
+from repro.condor import claims
 from repro.net import NetProfile, PartitionSpec, derive_net_seed
 from repro.obs import audit
 from repro.obs.audit import Auditor
@@ -99,6 +101,44 @@ class TestLeaseExpiry:
         assert all(
             r.status == COMPLETED for r in pool.schedd.all_records()
         )
+
+    @pytest.mark.parametrize(
+        "start_s, expiries, lost, match_timeouts",
+        [
+            # The long partition above: leases expire, claims are lost.
+            (10.0, 10, 10, 0),
+            # Cut off from the start: every activation times out.
+            (0.0, 0, 0, 10),
+        ],
+    )
+    def test_claim_timers_start_no_process(
+        self, monkeypatch, start_s, expiries, lost, match_timeouts
+    ):
+        # Renewals, lease and match watchdogs and the collector's
+        # publisher are timer callbacks: none of them is a generator
+        # process, and the outcomes are those of the process version.
+        started = []
+        original = Environment.process
+
+        def process(env, generator, name=None):
+            started.append(Path(generator.gi_code.co_filename))
+            return original(env, generator, name=name)
+
+        monkeypatch.setattr(Environment, "process", process)
+        net = NetProfile(
+            lease_duration_s=15.0,
+            renew_interval_s=5.0,
+            match_timeout_s=20.0,
+            partitions=(PartitionSpec(start_s, 120.0, "startd:*"),),
+        )
+        jobs = generate_table1_jobs(10, seed=3)
+        pool = _run_pool(jobs, net, derive_net_seed(3))
+        assert started
+        assert Path(claims.__file__) not in started
+        assert pool.lease_expiries() == expiries
+        assert pool.claims.claims_lost == lost
+        assert pool.claims.match_timeouts == match_timeouts
+        _assert_exactly_one_terminal(pool, 10)
 
     def test_duplicated_renewals_are_harmless(self):
         # dup=0.9: nearly every message (renewals included) is sent

@@ -59,13 +59,12 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _without_wall_clock(summary: str) -> str:
-    """The summary minus the wall-clock row, whose varying values also
-    set its table's column widths: cells are compared stripped."""
+def _cells(summary: str) -> str:
+    """The summary's table cells, stripped of their padding: the form
+    the golden digest was pinned over, when the summary still carried a
+    wall-clock row whose values set its table's column widths."""
     rows = []
     for line in summary.splitlines():
-        if "cycle_wall_ms" in line:
-            continue
         cells = [cell.strip() for cell in line.replace("-+-", "|").split("|")]
         rows.append("|".join("-" if set(c) == {"-"} else c for c in cells))
     return "\n".join(rows)
@@ -78,8 +77,8 @@ NETCHAOS_SMOKE = [
     "--net-partition", "40:160:startd:*",
 ]
 
-#: SHA-256 of (Chrome trace JSON, metrics summary without the wall-clock
-#: row, audit footer) of the netchaos smoke run at ``REPRO_SCALE=0.25``.
+#: SHA-256 of (Chrome trace JSON, metrics summary cells, audit footer)
+#: of the netchaos smoke run at ``REPRO_SCALE=0.25``.
 #: The trace digest was re-pinned when host-side waits fused into one
 #: timeout: ``host-phase``/``xfer-*`` spans are emitted when the fused
 #: wait ends, which swaps three pairs of same-``ts`` host-phase rows of
@@ -109,9 +108,21 @@ def test_netchaos_smoke_golden_digest(tmp_path, capsys):
     assert "net.stale_messages" in metrics_path.read_text()
     assert (
         _sha(trace),
-        _sha(_without_wall_clock(metrics_path.read_text())),
+        _sha(_cells(metrics_path.read_text())),
         _sha("\n".join(footer)),
     ) == GOLDEN
+
+
+def test_netchaos_metrics_summary_replays_byte_for_byte(tmp_path):
+    # The summary holds simulated quantities only: two runs of the same
+    # seed write the same bytes, column widths included.
+    summaries = []
+    for run in ("a", "b"):
+        path = tmp_path / f"metrics_{run}.txt"
+        assert main(NETCHAOS_SMOKE + ["--no-cache", "--metrics", str(path)]) == 0
+        summaries.append(path.read_bytes())
+    assert b"negotiator.cycle_matches" in summaries[0]
+    assert summaries[0] == summaries[1]
 
 
 # -- job histograms from event times -----------------------------------------
