@@ -25,8 +25,12 @@ machine-readable ``BENCH_matchmaking.json`` (shared record schema, see
 ``benchmarks/conftest.py``, with the baseline numbers embedded) so
 future PRs can extend the trajectory. Depths beyond 1k are
 skipped under ``REPRO_SCALE`` to keep CI smoke quick; the acceptance
-assertion — >= 3x on the 10k MCCK cell — runs whenever that cell is
-measured.
+assertions — >= 3x on the 10k MCCK cell, and an MCCK cycle at 50k
+within 2x of one at 1k — run whenever those cells are measured.
+
+Each record also carries ``walked``, the queue records the cycle's walk
+read (``SimProfiler.jobs_walked``, deterministic): the walk skips the
+parked queue, so an MCCK cycle reads only its pinned jobs.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ from repro.condor import (
 from repro.condor.classad import Literal, symmetric_match
 from repro.condor.schedd import IDLE, RUN
 from repro.core import DevicePacker, KnapsackClusterScheduler
-from repro.sim import Environment
+from repro.sim import Environment, profile
 from repro.workloads import JobProfile, OffloadPhase
 
 NODES = 16
@@ -64,6 +68,9 @@ CONFIGURATIONS = ("MC", "MCC", "MCCK")
 #: Acceptance floor for the headline cell: one MCCK cycle against a
 #: 10k-deep queue must run >= 3x faster than the pre-PR matchmaker.
 MIN_MCCK_10K_SPEEDUP = 3.0
+#: Ceiling on an MCCK cycle at Q=50k over one at Q=1k: the walk reads
+#: the pinned jobs only, so the parked queue's depth must not show.
+MAX_MCCK_DEPTH_RATIO = 2.0
 
 _FIFO_KEY = operator.attrgetter("fifo_key")
 
@@ -192,6 +199,16 @@ def _baseline_exhausted(policy, snapshots) -> bool:
     return all(s.free_slots <= 0 for s in snapshots)
 
 
+class _EagerView:
+    """The pre-PR prefilter argument: every snapshot, built up front."""
+
+    def __init__(self, snapshots) -> None:
+        self._snapshots = snapshots
+
+    def candidates(self):
+        return self._snapshots
+
+
 def _baseline_cycle(pool: CondorPool):
     """One cycle of the pre-PR negotiate_once (commit 21cb224), verbatim
     control flow: interpreted evaluation, Literal-False park check only,
@@ -206,6 +223,7 @@ def _baseline_cycle(pool: CondorPool):
     try:
         t0 = time.perf_counter()
         snapshots = collector.snapshots(env.now)
+        eager = _EagerView(snapshots)
         ads = {id(s): _dict_machine_ad(s) for s in snapshots}
         evals = 0
         for record in _baseline_pending(schedd):
@@ -214,7 +232,7 @@ def _baseline_cycle(pool: CondorPool):
             req = record.ad.get_expr("Requirements")
             if isinstance(req, Literal) and req.value is False:
                 continue
-            if not policy.prefilter(record, snapshots):
+            if not policy.prefilter(record, eager):
                 continue
             evals += len(snapshots)
             candidates = [
@@ -253,14 +271,18 @@ def _optimized_cycle(pool: CondorPool):
     pool.schedd.subscribe(on_start)
     gc.collect()
     gc.disable()
+    # The profiler counts the queue records the walk reads.
+    prof = profile.activate()
     try:
         t0 = time.perf_counter()
         pool.negotiator.negotiate_once()
         elapsed_ms = (time.perf_counter() - t0) * 1e3
     finally:
+        profile.deactivate()
         gc.enable()
     stats = pool.negotiator.last_cycle
-    return elapsed_ms, stats, [(tr.job_id, tr.node) for tr in started]
+    matches = [(tr.job_id, tr.node) for tr in started]
+    return elapsed_ms, stats, prof.jobs_walked, matches
 
 
 def _measure_cell(configuration: str, queue_depth: int) -> dict:
@@ -274,7 +296,7 @@ def _measure_cell(configuration: str, queue_depth: int) -> dict:
          for _ in range(SAMPLES)),
         key=lambda t: t[0],
     )
-    opt_ms, stats, opt_matches = opt
+    opt_ms, stats, walked, opt_matches = opt
     base_ms, base_evals, base_matches = base
     # The whole point: faster, not different.
     assert opt_matches == base_matches, (
@@ -289,6 +311,7 @@ def _measure_cell(configuration: str, queue_depth: int) -> dict:
         "speedup": base_ms / opt_ms if opt_ms > 0 else float("inf"),
         "matched": stats.matched,
         "parked": stats.parked,
+        "walked": walked,
         "evals": stats.evals,
         "baseline_evals": base_evals,
         "pin_routed": stats.pin_routed,
@@ -305,14 +328,14 @@ def _render(rows: list[dict]) -> str:
         "",
         f"{'config':>6} {'Q':>7} {'cycle(ms)':>10} {'pre-PR(ms)':>11} "
         f"{'speedup':>8} {'matched':>8} {'evals':>7} {'pre-evals':>10} "
-        f"{'pinned':>7}",
+        f"{'pinned':>7} {'walked':>7}",
     ]
     for r in rows:
         lines.append(
             f"{r['configuration']:>6} {r['Q']:>7} {r['optimized_ms']:>10.2f} "
             f"{r['baseline_ms']:>11.2f} {r['speedup']:>7.2f}x "
             f"{r['matched']:>8} {r['evals']:>7} {r['baseline_evals']:>10} "
-            f"{r['pin_routed']:>7}"
+            f"{r['pin_routed']:>7} {r['walked']:>7}"
         )
     return "\n".join(lines)
 
@@ -345,6 +368,7 @@ def test_bench_matchmaking(record_result, record_bench_json):
             ),
             bench_record(name, "matched", r["matched"], "count"),
             bench_record(name, "pin_routed", r["pin_routed"], "count"),
+            bench_record(name, "walked", r["walked"], "count"),
         ]
     record_bench_json(
         "matchmaking",
@@ -367,6 +391,17 @@ def test_bench_matchmaking(record_result, record_bench_json):
             # match must route through the O(1) name index.
             assert r["pin_routed"] > 0
             assert r["evals"] < r["baseline_evals"]
+            # The cycle reads the pinned jobs, never the parked queue.
+            assert r["walked"] <= r["matched"]
+    shallow, deep = cells.get(("MCCK", 1_000)), cells.get(("MCCK", 50_000))
+    if shallow is not None and deep is not None:
+        # Parked jobs cost the cycle nothing: depth barely moves it.
+        assert deep["optimized_ms"] <= MAX_MCCK_DEPTH_RATIO * shallow[
+            "optimized_ms"
+        ], (
+            f"MCCK cycle: {deep['optimized_ms']:.2f}ms at Q=50k vs "
+            f"{shallow['optimized_ms']:.2f}ms at Q=1k"
+        )
     headline = cells.get(("MCCK", 10_000))
     if headline is not None:
         assert headline["speedup"] >= MIN_MCCK_10K_SPEEDUP, (

@@ -372,15 +372,19 @@ class LiveCycleView:
         less those this cycle's deductions have filled."""
         if self._candidates is None:
             names = sorted(self._free, key=self._collector._reg_index.get)
-            self._candidates = [self._snapshot_of(name) for name in names]
+            # A snapshot built before the list (a pin probe's) may have
+            # been filled by this cycle's deductions already.
+            snaps = [self._snapshot_of(name) for name in names]
+            self._candidates = [s for s in snaps if s.free_slots > 0]
         return self._candidates
 
     def note_deduction(self, snapshot: MachineSnapshot) -> None:
         """Drop ``snapshot`` from the candidates once a deduction has
         taken its last free slot: from then on it can only fail
         ``TARGET.FreeSlots >= 1``. The list is the view's own; the free
-        set it was built from is never touched."""
-        if snapshot.free_slots > 0:
+        set it was built from is never touched. Before the list exists
+        there is nothing to drop: building it skips filled snapshots."""
+        if snapshot.free_slots > 0 or self._candidates is None:
             return
         candidates = self.candidates()
         for i, candidate in enumerate(candidates):

@@ -3,9 +3,11 @@
 Every ``cycle_interval`` simulated seconds the negotiator takes a lazy
 view of the pool (:class:`~repro.condor.collector.LiveCycleView`), walks
 the pending queue in FIFO order (§II-D), and matches each job against
-the nodes using symmetric ClassAd matchmaking. Resources are deducted
-from the snapshots the view builds as matches are made, so one cycle can
-fill many slots consistently.
+the nodes using symmetric ClassAd matchmaking. The walk reads only the
+jobs whose Requirements can match; the schedd keeps the parked ones
+apart, and the cycle counts them without reading them. Resources are
+deducted from the snapshots the view builds as matches are made, so one
+cycle can fill many slots consistently.
 
 Placement *within* the matched set is a policy object — this is where the
 paper's three configurations differ at the cluster level:
@@ -32,10 +34,17 @@ from ..obs import trace as _trace
 from ..sim import Environment
 from ..sim import profile as _profile
 from .ads import MachineSnapshot
-from .classad import Literal, symmetric_match
+from .classad import symmetric_match
 from .collector import AMBIGUOUS_NAME, Collector, LiveCycleView
-from .compile import requirements_plan
-from .schedd import COMPLETE, NEGOTIATED, JobRecord, Schedd, Transition
+from .schedd import (
+    COMPLETE,
+    IDLE,
+    NEGOTIATED,
+    JobRecord,
+    Schedd,
+    Transition,
+    offer_plan,
+)
 
 
 @dataclass
@@ -43,11 +52,15 @@ class CycleStats:
     """Accounting for one negotiation cycle.
 
     ``parked + prefiltered + examined`` partitions the pending jobs the
-    cycle looked at before resources ran out: *parked* jobs have
-    statically unmatchable Requirements (the external scheduler's
-    ``false`` rewrite, or none at all), *prefiltered* jobs failed the
-    policy's cheap necessary condition, and *examined* jobs went through
-    full matchmaking — of which ``matched`` succeeded.
+    cycle accounted for, in FIFO order, before resources ran out:
+    *parked* jobs have statically unmatchable Requirements (the external
+    scheduler's ``false`` rewrite, or none at all), *prefiltered* jobs
+    failed the policy's cheap necessary condition, and *examined* jobs
+    went through full matchmaking — of which ``matched`` succeeded.
+    The cycle walks only the offered jobs; ``parked`` counts the
+    schedd's parked queue by bisection (plus any job parked while the
+    walk ran, as the walk meets it), so it reads as if every idle job
+    had been walked.
     """
 
     parked: int = 0
@@ -84,12 +97,14 @@ class PlacementPolicy:
     ) -> Optional[tuple[MachineSnapshot, Optional[int], bool]]:
         raise NotImplementedError
 
-    def prefilter(self, record: JobRecord, snapshots: list[MachineSnapshot]) -> bool:
+    def prefilter(self, record: JobRecord, view: LiveCycleView) -> bool:
         """Cheap necessary condition before full ClassAd matchmaking.
 
         The analogue of Condor's autocluster optimization: skip jobs that
         cannot possibly match this cycle without paying for expression
-        evaluation against every machine.
+        evaluation against every machine. ``view`` is the cycle's lazy
+        view; a policy that reads ``view.candidates()`` builds every
+        free node's snapshot, so this default reads nothing.
         """
         return True
 
@@ -171,7 +186,7 @@ class RandomPlacement(PlacementPolicy):
         device = self.rng.choice(fitting)
         return snapshot, device.index, False
 
-    def prefilter(self, record, snapshots):
+    def prefilter(self, record, view):
         declared = record.profile.declared_memory_mb
         return any(
             s.free_slots > 0
@@ -181,7 +196,7 @@ class RandomPlacement(PlacementPolicy):
                 and (not self.memory_aware or d.free_declared_mb >= declared)
                 for d in s.devices
             )
-            for s in snapshots
+            for s in view.candidates()
         )
 
 
@@ -213,7 +228,7 @@ class BestFitPlacement(PlacementPolicy):
         _slack, snapshot, device = best
         return snapshot, device.index, False
 
-    def prefilter(self, record, snapshots):
+    def prefilter(self, record, view):
         declared = record.profile.declared_memory_mb
         return any(
             s.free_slots > 0
@@ -223,7 +238,7 @@ class BestFitPlacement(PlacementPolicy):
                 and d.free_declared_mb >= declared
                 for d in s.devices
             )
-            for s in snapshots
+            for s in view.candidates()
         )
 
 
@@ -430,44 +445,56 @@ class Negotiator:
         # recomputed after each match rather than per pending job — and
         # answered from the view's free set, so a cycle that probes no
         # machine builds no snapshots at all (the O(1) idle-pool floor).
-        exhausted: Optional[bool] = None
-        # The queue walk is the cycle's O(jobs) floor — with 10k+ jobs
-        # parked by the external scheduler, per-record work must stay at
-        # a couple of dict hits. Local counters (folded into ``stats``
-        # below) and bound methods keep attribute traffic off the loop.
+        #
+        # The walk reads only the offered jobs: a cycle costs O(offered)
+        # however many jobs the external scheduler has parked. The
+        # parked jobs FIFO-between two walked ones are counted by
+        # bisection, as if walked, up to the job whose match exhausts
+        # the pool. Local counters (folded into ``stats`` below) and
+        # bound methods keep attribute traffic off the loop.
         policy = self.policy
         prefilter = policy.prefilter
         inflight = self._inflight
-        parked = prefiltered = examined = in_flight = 0
-        pending = self.schedd.pending() if self.schedd.idle_jobs else ()
-        for record in pending:
-            if exhausted is None:
-                exhausted = policy.exhausted(view)
+        schedd = self.schedd
+        parked_between = schedd.parked_between
+        parked = prefiltered = examined = in_flight = walked = 0
+        offered = ()
+        exhausted = True
+        # With no job parked when the walk starts, every parked job the
+        # cycle meets is one parked mid-walk, which the walk counts.
+        count_parked = False
+        parked_inflight = ()
+        if schedd.idle_jobs:
+            exhausted = policy.exhausted(view)
+            if not exhausted:
+                offered = schedd.negotiable()
+                count_parked = len(offered) < schedd.idle_jobs
+                if count_parked and inflight:
+                    # Fabric mode: parked jobs whose match is still in
+                    # flight count as in flight, not parked.
+                    parked_inflight = self._parked_inflight()
+        after = None
+        for record in offered:
             if exhausted:
                 break
+            if count_parked:
+                key = record.fifo_key
+                parked += parked_between(after, key)
+                after = key
+            walked += 1
             if inflight and record.job_id in inflight:
                 # Fabric mode: this job's match notification is still in
                 # flight — re-offering it would double-match.
                 in_flight += 1
                 continue
-            req = record.ad._attrs.get("requirements")
-            if req is None:
-                # No Requirements at all: nothing can ever match.
+            plan = offer_plan(record)
+            if plan is None:
+                # Parked while the walk ran, by a subscriber to this
+                # cycle's own transitions: the schedd files every other
+                # parked job away from the walk.
                 parked += 1
                 continue
-            if type(req) is Literal:
-                # Parked by the external scheduler (Requirements
-                # rewritten to ``false``): skip matchmaking outright
-                # without even a plan lookup. ``parse`` memoizes ASTs,
-                # so every parked job shares one Literal node.
-                if req.value is not True:
-                    parked += 1
-                    continue
-            plan = requirements_plan(req)
-            if plan.never_matches:
-                parked += 1
-                continue
-            if not prefilter(record, view.candidates()):
+            if not prefilter(record, view):
                 prefiltered += 1
                 continue
             examined += 1
@@ -503,6 +530,14 @@ class Negotiator:
                 # alive is for the claim protocol to discover.
                 self._send_match(record, snapshot.node, device_index, exclusive)
             stats.matched += 1
+        if count_parked and not exhausted:
+            parked += parked_between(after, None)
+            after = None
+        # ``after`` now bounds the parked jobs counted (None: all).
+        for key in parked_inflight:
+            if after is None or key < after:
+                parked -= 1
+                in_flight += 1
         stats.parked = parked
         stats.prefiltered = prefiltered
         stats.examined = examined
@@ -515,6 +550,7 @@ class Negotiator:
             prof.match_probes += stats.evals
             prof.pin_routed += stats.pin_routed
             prof.full_scans += stats.full_scans
+            prof.jobs_walked += walked
         if tracer is not None:
             # A cycle occupies zero *simulated* time; the span carries
             # its outcome in args (matches, queue examined).
@@ -540,6 +576,14 @@ class Negotiator:
             registry.counter("negotiator.full_scans").inc(stats.full_scans)
             registry.histogram("negotiator.cycle_matches").observe(matched)
         return matched
+
+    def _parked_inflight(self) -> list[tuple]:
+        """FIFO keys of the parked idle jobs whose match is in flight."""
+        records = [self.schedd.get(job_id) for job_id in self._inflight]
+        return [
+            r.fifo_key for r in records
+            if r.status == IDLE and offer_plan(r) is None
+        ]
 
     def _send_match(
         self,

@@ -27,7 +27,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import operator
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
@@ -42,7 +42,8 @@ from ..mpss.runtime import JobRunResult
 from ..sim import Environment, Event
 from ..workloads.profiles import JobProfile
 from .ads import job_ad
-from .classad import ClassAd, Expr
+from .classad import ClassAd, Expr, Literal
+from .compile import RequirementsPlan, requirements_plan
 
 IDLE = "Idle"
 #: A match notification arrived over the fabric but the claim has not
@@ -101,6 +102,126 @@ INFRASTRUCTURE_STATUSES = frozenset(
 
 #: Sort key for FIFO queue order (precomputed at submission).
 _FIFO_KEY = operator.attrgetter("fifo_key")
+
+
+def offer_plan(record: "JobRecord") -> Optional[RequirementsPlan]:
+    """The plan the negotiator matches ``record``'s Requirements with, or
+    ``None`` when the job is *parked*.
+
+    A job is parked when its Requirements is missing, a literal other
+    than ``true`` (the external scheduler's ``false`` rewrite, answered
+    without a plan lookup), or a plan that never matches. A pure
+    function of the Requirements tree, which only :meth:`Schedd._apply`
+    replaces, so the schedd files each idle job by it as the tree
+    changes.
+    """
+    req = record.ad._attrs.get("requirements")
+    if req is None or (type(req) is Literal and req.value is not True):
+        return None
+    plan = requirements_plan(req)
+    return None if plan.never_matches else plan
+
+
+class _FifoQueue:
+    """Job records in ``fifo_key`` order, in a list with a movable gap.
+
+    The records fill ``_items[:_lo]`` and ``_items[_hi:]``; the slots
+    between them are a gap the queue never reads. An insertion or a
+    removal moves the gap to its place and grows or shrinks it there, so
+    a run of them at neighbouring places costs O(1) apiece: attach
+    parking a whole queue in FIFO order past the jobs it pinned, or new
+    submissions appending. One elsewhere costs the distance the gap
+    moves, at most the shift of the list it replaces.
+    """
+
+    __slots__ = ("_items", "_lo", "_hi")
+
+    def __init__(self) -> None:
+        self._items: list = []
+        self._lo = 0
+        self._hi = 0
+
+    def __len__(self) -> int:
+        return len(self._items) - self._hi + self._lo
+
+    def _index(self, key: tuple) -> int:
+        """Where the first record with ``fifo_key >= key`` sits (``_hi``
+        or past the end when it would follow the gap)."""
+        items, lo = self._items, self._lo
+        if lo and key <= items[lo - 1].fifo_key:
+            return bisect_left(items, key, 0, lo, key=_FIFO_KEY)
+        return bisect_left(items, key, self._hi, key=_FIFO_KEY)
+
+    def _gap_to(self, i: int) -> None:
+        """Move the gap to just before the record at ``i``, which then
+        sits at ``_hi``."""
+        items, lo, hi = self._items, self._lo, self._hi
+        if i < lo:
+            items[hi - (lo - i):hi] = items[i:lo]
+            self._lo, self._hi = i, hi - (lo - i)
+        elif i > hi:
+            items[lo:lo + (i - hi)] = items[hi:i]
+            self._lo, self._hi = lo + (i - hi), i
+
+    def insert(self, record: "JobRecord") -> None:
+        items = self._items
+        key = record.fifo_key
+        if self._hi < len(items):
+            if items[-1].fifo_key < key:
+                # A live submission is the newest job: O(1).
+                items.append(record)
+                return
+            self._gap_to(self._index(key))
+        elif self._lo and key < items[self._lo - 1].fifo_key:
+            self._gap_to(self._index(key))
+        lo = self._lo
+        if lo == self._hi:
+            items.insert(lo, record)
+            self._hi += 1
+        else:
+            items[lo] = record
+        self._lo = lo + 1
+
+    def remove(self, record: "JobRecord") -> bool:
+        """Drop ``record`` (by identity); whether it was here."""
+        items, lo, hi = self._items, self._lo, self._hi
+        if hi < len(items) and items[hi] is record:
+            self._hi = hi + 1
+        elif lo and items[lo - 1] is record:
+            self._lo = lo - 1
+        else:
+            i = self._index(record.fifo_key)
+            if i == len(items) or items[i] is not record:
+                return False
+            self._gap_to(i)
+            self._hi += 1
+        lo, hi = self._lo, self._hi
+        if 2 * (hi - lo) > len(items):
+            # A gap wider than the records: close it (amortized O(1)).
+            del items[lo:hi]
+            self._hi = lo
+        return True
+
+    def between(self, after: Optional[tuple], before: Optional[tuple]) -> int:
+        """How many records have ``after < fifo_key < before`` (``None``
+        leaves that side open)."""
+        items = self._items
+        count = 0
+        for start, end in ((0, self._lo), (self._hi, len(items))):
+            if after is not None:
+                start = bisect_right(items, after, start, end, key=_FIFO_KEY)
+            if before is not None:
+                end = bisect_left(items, before, start, end, key=_FIFO_KEY)
+            count += end - start
+        return count
+
+    def listing(self) -> list["JobRecord"]:
+        items, lo, hi = self._items, self._lo, self._hi
+        if not lo:
+            return items[hi:]
+        if hi == len(items):
+            return items[:lo]
+        return items[:lo] + items[hi:]
 
 
 @dataclass(frozen=True)
@@ -186,7 +307,7 @@ class JobRecord:
     #: retried job sheds any pin/park the previous attempt carried.
     base_requirements: Optional[Expr] = None
     #: FIFO examination key, fixed at submission: (submit_time, seq).
-    #: Unique per job; the idle queue is kept in this order.
+    #: Unique per job; the idle queues are kept in this order.
     fifo_key: tuple = (0.0, 0)
     #: The current match/claim token under the message fabric. Stale
     #: messages (from a match the schedd has since abandoned) carry an
@@ -282,9 +403,12 @@ class Schedd:
         self.env = env
         self.retry_policy = retry_policy or RetryPolicy()
         self._records: dict[str, JobRecord] = {}
-        #: Idle jobs in ``fifo_key`` order, kept by ``_apply``: what
-        #: ``pending()`` lists.
-        self._idle: list[JobRecord] = []
+        #: The idle jobs, kept by ``_apply`` in two ``fifo_key``-ordered
+        #: queues that partition them by :func:`offer_plan`: the
+        #: *offered* jobs, which the negotiator walks, and the *parked*
+        #: ones, which it only counts.
+        self._offered = _FifoQueue()
+        self._parked = _FifoQueue()
         self._seq = 0
         from .observe import JobObserver
         #: Called with every published transition, in this order.
@@ -364,12 +488,32 @@ class Schedd:
         return sorted(self._records.values(), key=_FIFO_KEY)
 
     def pending(self) -> list[JobRecord]:
-        """Idle jobs in FIFO order (the negotiator's examination order).
+        """Every idle job, offered and parked, in FIFO order: the
+        external scheduler's attach and recovery passes. A new list."""
+        offered = self._offered.listing()
+        parked = self._parked.listing()
+        if not parked:
+            return offered
+        if not offered:
+            return parked
+        # Two sorted runs: the sort is one merge.
+        return sorted(offered + parked, key=_FIFO_KEY)
+
+    def negotiable(self) -> list[JobRecord]:
+        """The offered idle jobs (those with an :func:`offer_plan`) in FIFO
+        order: the negotiator's walk.
 
         A copy: a direct-mode match runs its job while the negotiator is
         still walking the list.
         """
-        return self._idle.copy()
+        return self._offered.listing()
+
+    def parked_between(
+        self, after: Optional[tuple], before: Optional[tuple]
+    ) -> int:
+        """Parked idle jobs with ``after < fifo_key < before`` (``None``
+        leaves that side open), counted by bisection, none read."""
+        return self._parked.between(after, before)
 
     def running(self) -> list[JobRecord]:
         return [r for r in self._records.values() if r.status == RUNNING]
@@ -391,9 +535,10 @@ class Schedd:
 
     @property
     def idle_jobs(self) -> int:
-        """Jobs currently idle (the size of :meth:`pending`'s result),
-        so an idle-pool negotiation cycle can skip the listing."""
-        return len(self._idle)
+        """Jobs currently idle, offered or parked (the size of
+        :meth:`pending`'s result), so an idle-pool negotiation cycle can
+        skip the listing."""
+        return len(self._offered) + len(self._parked)
 
     # -- qedit -------------------------------------------------------------
 
@@ -533,7 +678,8 @@ class Schedd:
             # The queue restarts here; records are replaced job by job
             # as their submit or snapshot is applied.
             self.requeues, self.terminal_failures = tr.state
-            self._idle = []
+            self._offered = _FifoQueue()
+            self._parked = _FifoQueue()
             self._unfinished = 0
             self._seq = 0
             return
@@ -543,7 +689,17 @@ class Schedd:
         job_id = tr.job_id
         record = self._records[job_id]
         if kind == QEDIT:
-            record.ad.set_expr(tr.attr, tr.expression)
+            attr = tr.attr
+            record.ad.set_expr(attr, tr.expression)
+            if record.status == IDLE and (
+                attr == "Requirements" or attr.lower() == "requirements"
+            ):
+                # A park or an unpark moves the job to the other queue.
+                if offer_plan(record) is not None:
+                    if self._parked.remove(record):
+                        self._offered.insert(record)
+                elif self._offered.remove(record):
+                    self._parked.insert(record)
             return
         if kind == MATCH:
             record.status = MATCHED
@@ -628,21 +784,15 @@ class Schedd:
             self._unfinished += 1
 
     def _idle_insert(self, record: JobRecord) -> None:
-        idle = self._idle
-        if not idle or idle[-1].fifo_key < record.fifo_key:
-            # A live submission is the newest job: O(1).
-            idle.append(record)
+        if offer_plan(record) is not None:
+            self._offered.insert(record)
         else:
-            # Back at its original FIFO place: a requeued or unmatched
-            # job, or a replayed older one.
-            insort(idle, record, key=_FIFO_KEY)
+            self._parked.insert(record)
 
     def _idle_remove(self, record: JobRecord) -> None:
-        """Drop ``record`` (by identity) from the idle queue, if there."""
-        idle = self._idle
-        i = bisect_left(idle, record.fifo_key, key=_FIFO_KEY)
-        if i < len(idle) and idle[i] is record:
-            del idle[i]
+        """Drop ``record`` (by identity) from its idle queue, if there."""
+        if not self._offered.remove(record):
+            self._parked.remove(record)
 
     # -- draining -----------------------------------------------------------
 

@@ -52,6 +52,9 @@ class SimProfiler:
         Matchmaking: cycles run, machines probed with symmetric ClassAd
         matchmaking, and how examined jobs were routed — through the
         collector's O(1) name index versus a scan of every machine.
+    jobs_walked:
+        Queue records the negotiation cycles' walks read: offered jobs
+        only, never a parked one (those are counted by bisection).
     compile_hits / compile_misses / compile_evictions:
         ClassAd closure-compiler cache traffic (see
         :mod:`repro.condor.compile`); evictions count LRU drops across
@@ -83,6 +86,7 @@ class SimProfiler:
         "match_probes",
         "pin_routed",
         "full_scans",
+        "jobs_walked",
         "compile_hits",
         "compile_misses",
         "compile_evictions",
@@ -109,6 +113,7 @@ class SimProfiler:
         self.match_probes = 0
         self.pin_routed = 0
         self.full_scans = 0
+        self.jobs_walked = 0
         self.compile_hits = 0
         self.compile_misses = 0
         self.compile_evictions = 0
@@ -202,6 +207,9 @@ class SimProfiler:
             lines.append("matchmaking " + "-" * 46)
             lines.append(
                 f"{'negotiation cycles':<24}{self.negotiation_cycles:>16,}"
+            )
+            lines.append(
+                f"{'jobs walked':<24}{self.jobs_walked:>16,}"
             )
             lines.append(
                 f"{'classad evals':<24}{self.match_probes:>16,}"

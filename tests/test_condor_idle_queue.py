@@ -1,12 +1,14 @@
-"""Property test: the schedd's idle queue stays in FIFO order.
+"""Property test: the schedd's idle queues stay in FIFO order.
 
-``Schedd.pending()`` lists the idle jobs from a queue that the state
+``Schedd.pending()`` lists the idle jobs from two queues that the state
 machine keeps in ``fifo_key`` order as jobs change state, instead of
-sorting the idle set on every call. The oracle is that old listing:
-every idle record, sorted by ``fifo_key``. Random submit / match /
-unmatch / run / complete / fail-and-requeue sequences, WAL checkpoints
-and replays (which replace record objects) must never let the two
-disagree.
+sorting the idle set on every call: the offered jobs, which
+``Schedd.negotiable()`` lists for the negotiator, and the parked ones.
+The oracle is the old listing: every idle record, sorted by
+``fifo_key``, split by ``offer_plan``. Random submit / park / pin /
+match / unmatch / run / complete / fail-and-requeue sequences (a
+requeue restores the submit-time Requirements), WAL checkpoints and
+replays (which replace record objects) must never let them disagree.
 """
 
 import dataclasses
@@ -14,8 +16,16 @@ import dataclasses
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.condor import IDLE, MATCHED, RUNNING, JobQueueLog, RetryPolicy, Schedd
-from repro.condor.schedd import SNAPSHOT, Transition
+from repro.condor import (
+    IDLE,
+    MATCHED,
+    RUNNING,
+    JobQueueLog,
+    RetryPolicy,
+    Schedd,
+    pin_requirements,
+)
+from repro.condor.schedd import SNAPSHOT, Transition, offer_plan
 from repro.mpss import JobRunResult
 from repro.sim import Environment
 from repro.workloads import HostPhase, JobProfile, OffloadPhase
@@ -51,13 +61,20 @@ def _assert_fifo(schedd):
     # Identity, not equality: a replaced record must not linger.
     assert [id(r) for r in listing] == [id(r) for r in expected]
     assert schedd.idle_jobs == len(expected)
-    # The listing is the caller's: changing it leaves the queue alone.
+    offered = schedd.negotiable()
+    assert [id(r) for r in offered] \
+        == [id(r) for r in expected if offer_plan(r) is not None]
+    assert schedd.parked_between(None, None) == len(expected) - len(offered)
+    # The listings are the caller's: changing them leaves the queue alone.
     listing.clear()
+    offered.clear()
     assert schedd.idle_jobs == len(expected)
+    assert [id(r) for r in schedd.negotiable()] \
+        == [id(r) for r in expected if offer_plan(r) is not None]
 
 
-_OPS = ["submit", "submit", "match", "unmatch", "run", "complete", "fail",
-        "requeue", "checkpoint", "replay", "resnapshot"]
+_OPS = ["submit", "submit", "park", "park", "pin", "match", "unmatch", "run",
+        "complete", "fail", "requeue", "checkpoint", "replay", "resnapshot"]
 
 
 @settings(max_examples=150, deadline=None)
@@ -90,6 +107,7 @@ def test_pending_is_the_sorted_idle_set(data):
             statuses = {
                 "match": (IDLE,), "unmatch": (MATCHED,), "run": (IDLE, MATCHED),
                 "complete": (RUNNING,), "fail": (RUNNING,), "resnapshot": (IDLE,),
+                "park": (IDLE,), "pin": (IDLE,),
             }[op]
             candidates = jobs_in(*statuses)
             if not candidates:
@@ -102,6 +120,10 @@ def test_pending_is_the_sorted_idle_set(data):
                 schedd.unmatch(job_id)
             elif op == "run":
                 schedd.mark_running(job_id, "node0", 0)
+            elif op == "park":
+                schedd.qedit(job_id, "Requirements", "false")
+            elif op == "pin":
+                schedd.qedit(job_id, "Requirements", pin_requirements("node0"))
             elif op == "complete":
                 schedd.mark_completed(job_id, _result(job_id, "completed"))
             elif op == "fail":

@@ -1,5 +1,6 @@
 """Unit tests for placement policies, machine/job ads, and negotiation."""
 
+import dataclasses
 import hashlib
 import random
 
@@ -22,10 +23,15 @@ from repro.condor import (
     pin_requirements,
     symmetric_match,
 )
+from repro.condor.classad import Literal
 from repro.condor.collector import AMBIGUOUS_NAME, LiveCycleView
+from repro.condor.compile import requirements_plan
+from repro.condor.negotiator import CycleStats
+from repro.condor.schedd import NEGOTIATED, Transition
 from repro.experiments.common import PAPER_CLUSTER, make_workload
 from repro.net.profile import NetProfile
 from repro.sim import Environment
+from repro.sim import profile as sim_profile
 from repro.workloads import HostPhase, JobProfile, OffloadPhase
 
 
@@ -57,7 +63,8 @@ def snapshot(node="n0", free_slots=4, free_mb=8192.0, resident=0,
 
 
 class _ListView:
-    """The slice of the cycle view ExclusivePlacement reads."""
+    """The slice of the cycle view ExclusivePlacement and the prefilters
+    read."""
 
     def __init__(self, snapshots):
         self._snapshots = snapshots
@@ -221,10 +228,13 @@ class TestRandomPlacement:
 
     def test_prefilter(self):
         aware = RandomPlacement(random.Random(0), memory_aware=True)
-        assert not aware.prefilter(record(memory=4000), [snapshot(free_mb=100)])
-        assert aware.prefilter(record(memory=4000), [snapshot(free_mb=5000)])
+        assert not aware.prefilter(record(memory=4000),
+                                   _ListView([snapshot(free_mb=100)]))
+        assert aware.prefilter(record(memory=4000),
+                               _ListView([snapshot(free_mb=5000)]))
         unaware = RandomPlacement(random.Random(0), memory_aware=False)
-        assert unaware.prefilter(record(memory=4000), [snapshot(free_mb=100)])
+        assert unaware.prefilter(record(memory=4000),
+                                 _ListView([snapshot(free_mb=100)]))
 
     def test_deduct_updates_shared_device(self):
         policy = RandomPlacement(random.Random(0))
@@ -322,6 +332,39 @@ class TestNegotiatorRouting:
         assert pool.negotiator.negotiate_once() == 0
         assert pool.negotiator.last_cycle.parked == 1
         assert touched == []
+
+    def test_pinned_cycle_builds_only_the_pinned_node(self, monkeypatch):
+        env = Environment()
+        schedd, _, negotiator = _pool(env, PinnedPlacement(), nodes=4)
+        schedd.submit(make_profile("pinned"))
+        schedd.qedit("pinned", "Requirements", pin_requirements("n2"))
+        touched = []
+        snapshot_of = LiveCycleView._snapshot_of
+        monkeypatch.setattr(
+            LiveCycleView, "_snapshot_of",
+            lambda view, name: touched.append(name) or snapshot_of(view, name),
+        )
+        assert negotiator.negotiate_once() == 1
+        assert touched == ["n2"]
+
+    def test_walk_reads_only_the_offered_jobs(self):
+        env = Environment()
+        schedd, _, negotiator = _pool(env, PinnedPlacement())
+        for i in range(10_003):
+            schedd.submit(make_profile(f"j{i}"))
+        pins = {5_000: "n0", 7_500: "n1", 10_002: "n2"}
+        for i in range(10_003):
+            schedd.qedit(f"j{i}", "Requirements",
+                         pin_requirements(pins[i]) if i in pins else "false")
+        prof = sim_profile.activate()
+        try:
+            assert negotiator.negotiate_once() == 3
+        finally:
+            sim_profile.deactivate()
+        assert prof.jobs_walked == 3
+        stats = negotiator.last_cycle
+        assert stats.parked == 10_000
+        assert stats.examined == stats.matched == 3
 
     def test_exhaustion_stops_the_queue_walk(self):
         env = Environment()
@@ -488,3 +531,134 @@ def test_mcc_8x200_placements_match_the_golden_digest(monkeypatch):
     assert len(placements) == 1600
     digest = hashlib.sha256(repr(placements).encode()).hexdigest()
     assert digest == MCC_8X200_PLACEMENTS
+
+
+class _WalkAllNegotiator(Negotiator):
+    """The cycle as it was before the idle queue was split: a walk over
+    every idle job, parked ones included, that checks each record.
+
+    The oracle for the split walk, which must decide and count exactly
+    as this does. Observability hooks are left out.
+    """
+
+    def negotiate_once(self):
+        self.cycles_run += 1
+        stats = CycleStats()
+        view = self.collector.live_view(self.env.now)
+        policy = self.policy
+        inflight = self._inflight
+        exhausted = None
+        pending = self.schedd.pending() if self.schedd.idle_jobs else ()
+        for record in pending:
+            if exhausted is None:
+                exhausted = policy.exhausted(view)
+            if exhausted:
+                break
+            if inflight and record.job_id in inflight:
+                stats.in_flight += 1
+                continue
+            req = record.ad._attrs.get("requirements")
+            if req is None:
+                stats.parked += 1
+                continue
+            if type(req) is Literal and req.value is not True:
+                stats.parked += 1
+                continue
+            plan = requirements_plan(req)
+            if plan.never_matches:
+                stats.parked += 1
+                continue
+            if not policy.prefilter(record, view):
+                stats.prefiltered += 1
+                continue
+            stats.examined += 1
+            placement = self._match(record, view, plan, stats)
+            if placement is None:
+                continue
+            snapshot, device_index, exclusive = placement
+            policy.deduct(snapshot, device_index, exclusive,
+                          record.profile.declared_memory_mb)
+            view.note_deduction(snapshot)
+            exhausted = policy.exhausted(view)
+            self.schedd.publish(
+                Transition(NEGOTIATED, record.job_id, self.env.now,
+                           node=snapshot.node, device=device_index,
+                           exclusive=exclusive)
+            )
+            self.collector.startd(snapshot.node).start_job(
+                record, device_index, exclusive
+            )
+            stats.matched += 1
+        self.matches_made += stats.matched
+        self.last_cycle = stats
+        return stats.matched
+
+
+def _scenario(seed, negotiator_cls):
+    """A pool and a queue mixing parked, pinned, plain and in-flight
+    jobs, drawn from ``seed``, with ``negotiator_cls`` negotiating.
+
+    Returns the negotiator and the matches it publishes. Some jobs are
+    parked by a subscriber in the middle of a cycle's walk; some pools
+    are too small for the queue, and later cycles start exhausted.
+    """
+    rng = random.Random(seed)
+    env = Environment()
+    schedd = Schedd(env)
+    collector = Collector()
+    nodes = rng.randint(1, 4)
+    for i in range(nodes):
+        collector.register(
+            Startd(env, schedd, ComputeNode(env, f"n{i}", mode="cosmic"),
+                   slots=rng.randint(1, 4))
+        )
+    if rng.random() < 0.5:
+        policy = PinnedPlacement()
+    else:
+        policy = RandomPlacement(random.Random(seed), memory_aware=True)
+    negotiator = negotiator_cls(env, schedd, collector, policy)
+    jobs = [f"j{i}" for i in range(rng.randint(0, 40))]
+    for job_id in jobs:
+        schedd.submit(make_profile(job_id, memory=rng.choice([500, 3000, 9000])))
+        kind = rng.choice(["parked", "parked", "pinned", "plain", "never",
+                           "unmatchable"])
+        if kind == "parked":
+            schedd.qedit(job_id, "Requirements", "false")
+        elif kind == "pinned":
+            node = f"n{rng.randrange(nodes + 1)}"  # n{nodes} is unknown
+            schedd.qedit(job_id, "Requirements", pin_requirements(node))
+        elif kind == "never":
+            # Parked through its plan, not as a literal.
+            schedd.qedit(job_id, "Requirements", "1 == 2")
+        elif kind == "unmatchable":
+            # Offered, examined, and never matched.
+            schedd.qedit(job_id, "Requirements",
+                         "TARGET.FreeSlots >= 1 && 1 == 2")
+    for job_id in rng.sample(jobs, min(len(jobs), rng.randint(0, 4))):
+        negotiator._inflight[job_id] = 0
+    park_on = rng.randint(1, 6)
+    to_park = rng.sample(jobs, min(len(jobs), rng.randint(0, 6)))
+    matches = []
+
+    def on_negotiated(tr):
+        if tr.kind != NEGOTIATED:
+            return
+        matches.append((tr.job_id, tr.node, tr.device))
+        if len(matches) == park_on:
+            for job_id in to_park:
+                if schedd.get(job_id).status == "Idle":
+                    schedd.qedit(job_id, "Requirements", "false")
+
+    schedd.subscribe(on_negotiated)
+    return negotiator, matches
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_split_walk_matches_the_walk_over_every_idle_job(seed):
+    split, split_matches = _scenario(seed, Negotiator)
+    oracle, oracle_matches = _scenario(seed, _WalkAllNegotiator)
+    for _cycle in range(3):
+        assert split.negotiate_once() == oracle.negotiate_once()
+        assert split_matches == oracle_matches
+        assert dataclasses.asdict(split.last_cycle) \
+            == dataclasses.asdict(oracle.last_cycle)
