@@ -54,7 +54,7 @@ from repro.condor import (
     RandomPlacement,
     set_compilation,
 )
-from repro.condor.classad import Literal, symmetric_match
+from repro.condor.classad import Literal
 from repro.condor.schedd import IDLE, RUN
 from repro.core import DevicePacker, KnapsackClusterScheduler
 from repro.sim import Environment, profile
@@ -182,6 +182,14 @@ def _dict_machine_ad(snapshot) -> ClassAd:
     return ad
 
 
+def _baseline_symmetric_match(left, right) -> bool:
+    """The pre-PR ``symmetric_match``: two ``evaluate`` calls per probe."""
+    return (
+        left.evaluate("Requirements", right) is True
+        and right.evaluate("Requirements", left) is True
+    )
+
+
 def _baseline_pending(schedd):
     """The pre-PR ``Schedd.pending()``: filter + full sort every cycle."""
     idle = [r for r in schedd._records.values() if r.status == IDLE]
@@ -236,7 +244,8 @@ def _baseline_cycle(pool: CondorPool):
                 continue
             evals += len(snapshots)
             candidates = [
-                s for s in snapshots if symmetric_match(record.ad, ads[id(s)])
+                s for s in snapshots
+                if _baseline_symmetric_match(record.ad, ads[id(s)])
             ]
             if not candidates:
                 continue

@@ -159,9 +159,13 @@ def job_ad(
 #
 # The negotiator deducts from a MachineSnapshot as it matches jobs within
 # a cycle. Earlier versions rebuilt (or cache-looked-up) a whole dict ad
-# after every deduction; the view below instead *computes* the advertised
-# attributes from the snapshot at read time, so a deduction is visible to
-# the very next probe with zero rebuild cost.
+# after every deduction; the view below instead stores the attributes no
+# deduction writes as literals when it is made, and *computes* the three
+# that ``PlacementPolicy.deduct`` changes (FreeSlots, PhiDevicesFree,
+# PhiFreeMemory) from the snapshot at read time, so a deduction is
+# visible to the very next probe with zero rebuild cost. Failed cards are
+# invisible: excluded from the device counts and the advertised memory,
+# so matchmaking never routes a job to a node whose only cards are down.
 
 
 def _phi_memory(snapshot: MachineSnapshot) -> float:
@@ -179,21 +183,24 @@ def _phi_free_memory(snapshot: MachineSnapshot) -> float:
     )
 
 
-#: Computed machine attributes, keyed lowercase. Failed cards are
-#: invisible: excluded from the device count and the advertised memory,
-#: so matchmaking never routes a job to a node whose only cards are down.
-_COMPUTED: dict[str, Callable[[MachineSnapshot], Value]] = {
+#: Machine attributes fixed for a view's life, keyed lowercase.
+_FIXED: dict[str, Callable[[MachineSnapshot], Value]] = {
     "name": lambda s: slot_name(s.node),
     "machine": lambda s: s.node,
     "totalslots": lambda s: s.total_slots,
-    "freeslots": lambda s: s.free_slots,
     "phidevices": lambda s: sum(1 for d in s.devices if not d.failed),
-    "phidevicesfree": lambda s: s.devices_free,
     "phimemory": _phi_memory,
+}
+
+#: Machine attributes a deduction changes, read from the snapshot.
+_LIVE: dict[str, Callable[[MachineSnapshot], Value]] = {
+    "freeslots": lambda s: s.free_slots,
+    "phidevicesfree": lambda s: s.devices_free,
     "phifreememory": _phi_free_memory,
 }
 
-_COMPUTED_DISPLAY = {
+#: Every machine attribute in advertised order, keyed lowercase.
+_DISPLAY = {
     "name": "Name",
     "machine": "Machine",
     "totalslots": "TotalSlots",
@@ -213,11 +220,18 @@ class MachineAdView(ClassAd):
     """A node's advertised ClassAd as a live view over its snapshot.
 
     Behaves exactly like the dict ad it replaces — same attributes, same
-    values, same Requirements — except reads reflect the snapshot's
-    *current* state, so the negotiator's deduct-then-rematch loop needs
-    no rebuild. Explicitly stored attributes (via ``__setitem__`` /
-    ``set_expr``) shadow computed ones, matching plain-ClassAd override
-    semantics.
+    values, same Requirements — except that FreeSlots, PhiDevicesFree
+    and PhiFreeMemory read the snapshot's *current* state, so the
+    negotiator's deduct-then-rematch loop needs no rebuild. Name,
+    Machine, TotalSlots, PhiDevices and PhiMemory are stored as literals
+    when the view is made: no deduction writes them, and a cycle's view
+    lives no longer than its snapshot. Explicitly stored attributes (via
+    ``__setitem__`` / ``set_expr``) shadow both kinds, matching
+    plain-ClassAd override semantics.
+
+    ``_display`` names the explicitly stored attributes (Requirements
+    first) in the order they were set; ``_attrs`` holds those plus the
+    fixed literals an explicit set has not replaced.
     """
 
     def __init__(self, snapshot: MachineSnapshot) -> None:
@@ -225,12 +239,14 @@ class MachineAdView(ClassAd):
         self._snapshot = snapshot
         self._attrs["requirements"] = _MACHINE_REQUIREMENTS
         self._display["requirements"] = "Requirements"
+        for key, fn in _FIXED.items():
+            self._attrs[key] = Literal(fn(snapshot))
 
     def raw(self, key: str):
         expr = self._attrs.get(key)
         if expr is not None:
             return expr.value if type(expr) is Literal else expr
-        fn = _COMPUTED.get(key)
+        fn = _LIVE.get(key)
         if fn is not None:
             return fn(self._snapshot)
         return MISSING
@@ -240,7 +256,7 @@ class MachineAdView(ClassAd):
         expr = self._attrs.get(key)
         if expr is not None:
             return expr
-        fn = _COMPUTED.get(key)
+        fn = _LIVE.get(key)
         if fn is not None:
             return Literal(fn(self._snapshot))
         return None
@@ -248,30 +264,39 @@ class MachineAdView(ClassAd):
     def evaluate(self, name: str, target=None):
         key = name.lower()
         if key not in self._attrs:
-            fn = _COMPUTED.get(key)
+            fn = _LIVE.get(key)
             if fn is not None:
                 return fn(self._snapshot)
         return super().evaluate(name, target)
 
     def __contains__(self, name: str) -> bool:
         key = name.lower()
-        return key in self._attrs or key in _COMPUTED
+        return key in self._attrs or key in _LIVE
+
+    def __delitem__(self, name: str) -> None:
+        # Only an explicit set can be deleted; the machine's own value
+        # shows through again.
+        key = name.lower()
+        del self._display[key]
+        del self._attrs[key]
+        fn = _FIXED.get(key)
+        if fn is not None:
+            self._attrs[key] = Literal(fn(self._snapshot))
 
     def keys(self) -> list[str]:
-        names = [
-            _COMPUTED_DISPLAY[k] for k in _COMPUTED if k not in self._attrs
-        ]
-        names.extend(self._display[k] for k in self._attrs)
+        names = [_DISPLAY[k] for k in _DISPLAY if k not in self._display]
+        names.extend(self._display.values())
         return names
 
     def copy(self) -> ClassAd:
         # Materialize: a copy is a plain ad frozen at the current state.
         dup = ClassAd()
-        for key, fn in _COMPUTED.items():
-            if key not in self._attrs:
-                dup[_COMPUTED_DISPLAY[key]] = fn(self._snapshot)
-        dup._attrs.update(self._attrs)
-        dup._display.update(self._display)
+        for key, display in _DISPLAY.items():
+            if key not in self._display:
+                dup[display] = self.raw(key)
+        for key, display in self._display.items():
+            dup._attrs[key] = self._attrs[key]
+            dup._display[key] = display
         return dup
 
 

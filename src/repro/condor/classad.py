@@ -78,7 +78,8 @@ Value = Union[int, float, str, bool, _Marker]
 #: matchmaking benchmark uses this to measure its baseline, and the
 #: equivalence property tests compare the two modes directly.
 _COMPILE_ENABLED = True
-_compile_expr = None  # lazily bound to compile.compile_expr
+#: ``compile.compile_expr``, bound on first use: that module imports this one.
+_compile_expr = None
 
 
 def set_compilation(enabled: bool) -> None:
@@ -89,6 +90,21 @@ def set_compilation(enabled: bool) -> None:
 
 def compilation_enabled() -> bool:
     return _COMPILE_ENABLED
+
+
+def _evaluator(expr: Expr) -> Callable[[EvalContext], Value]:
+    """What evaluating ``expr`` calls with its context: the compiled
+    closure (one lookup in the compiler's memo), or with compilation off,
+    or for a literal, the interpreter's own ``Expr.evaluate``."""
+    global _compile_expr
+    if not _COMPILE_ENABLED or type(expr) is Literal:
+        return expr.evaluate
+    if _compile_expr is None:
+        from .compile import compile_expr
+
+        _compile_expr = compile_expr
+    return _compile_expr(expr)
+
 
 # ---------------------------------------------------------------------------
 # Lexer
@@ -718,25 +734,21 @@ class ClassAd:
 
         Routes through the closure compiler (:mod:`repro.condor.compile`)
         unless :func:`set_compilation` disabled it. Compiled closures are
-        memoized per AST node; ``set_expr`` (condor_qedit) and requeue's
-        ``base_requirements`` restore both *replace* the stored Expr, so
-        a rewritten attribute always compiles (or cache-hits) on its new
-        tree — stale closures are impossible by construction.
+        memoized per AST node, and each call pays one memo lookup and one
+        fresh :class:`EvalContext`; matchmaking one ad against many goes
+        through :func:`matcher`, which pays them once per side instead.
+        ``set_expr`` (condor_qedit) and requeue's ``base_requirements``
+        restore both *replace* the stored Expr, so a rewritten attribute
+        always compiles (or cache-hits) on its new tree — stale closures
+        are impossible by construction.
         """
         expr = self._attrs.get(name.lower())
         if expr is None:
             return UNDEFINED
-        if _COMPILE_ENABLED:
-            if type(expr) is Literal:
-                # No context needed: a literal evaluates to itself.
-                return expr.value
-            global _compile_expr
-            if _compile_expr is None:
-                from .compile import compile_expr as _fn
-
-                _compile_expr = _fn
-            return _compile_expr(expr)(EvalContext(self, target))
-        return expr.evaluate(EvalContext(self, target))
+        if _COMPILE_ENABLED and type(expr) is Literal:
+            # No context needed: a literal evaluates to itself.
+            return expr.value
+        return _evaluator(expr)(EvalContext(self, target))
 
     def __getitem__(self, name: str) -> Value:
         return self.evaluate(name)
@@ -752,12 +764,52 @@ class ClassAd:
         return f"<ClassAd [{inner}]>"
 
 
+def _never(right: ClassAd) -> bool:
+    return False
+
+
+def matcher(left: ClassAd) -> Callable[[ClassAd], bool]:
+    """Symmetric matchmaking of ``left`` against one ad after another.
+
+    The returned predicate answers what ``left.evaluate("Requirements",
+    right) is True and right.evaluate("Requirements", left) is True``
+    would, ``left`` first: a missing Requirements on either side is no
+    match, and a literal one is its value. It looks ``left``'s
+    Requirements up once, and the right side's once per run of
+    consecutive ads sharing one Requirements Expr (every machine ad
+    shares one), and re-points one :class:`EvalContext` per side at each
+    ad instead of allocating two per probe. The compilation mode is read
+    when the matcher is made; ``left`` must not change while it is used.
+    """
+    left_expr = left._attrs.get("requirements")
+    if left_expr is None:
+        return _never
+    left_fn = _evaluator(left_expr)
+    # Each probe re-points left_ctx.target and right_ctx.my at the ad.
+    left_ctx = EvalContext(left)
+    right_ctx = EvalContext(left, left)
+    right_expr = right_fn = None
+
+    def match(right: ClassAd) -> bool:
+        nonlocal right_expr, right_fn
+        left_ctx.target = right
+        if left_fn(left_ctx) is not True:
+            return False
+        expr = right._attrs.get("requirements")
+        if expr is None:
+            return False
+        if expr is not right_expr:
+            right_expr = expr
+            right_fn = _evaluator(expr)
+        right_ctx.my = right
+        return right_fn(right_ctx) is True
+
+    return match
+
+
 def symmetric_match(left: ClassAd, right: ClassAd) -> bool:
     """Condor matchmaking: both ads' Requirements must evaluate to True."""
-    return (
-        left.evaluate("Requirements", right) is True
-        and right.evaluate("Requirements", left) is True
-    )
+    return matcher(left)(right)
 
 
 def rank(ad: ClassAd, candidate: ClassAd) -> float:

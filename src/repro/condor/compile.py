@@ -28,6 +28,13 @@ rather than mutating it, a rewritten attribute can never be served a
 stale closure: the new Expr object simply misses the cache and compiles
 fresh.
 
+Every lookup in the memo is a hit or a miss on the active profiler and
+re-inserts a hit entry (LRU), so callers hoist lookups off hot loops.
+Each :meth:`ClassAd.evaluate` makes one. The negotiator's full scan goes
+through :func:`classad.matcher`, which makes one for the job and one for
+the Requirements every machine ad shares: two per scan, not two per
+probed machine.
+
 Equivalence with the interpreter (values *and* UNDEFINED/ERROR
 propagation) is property-tested in
 ``tests/test_condor_classad_properties.py``.

@@ -33,8 +33,8 @@ from ..obs import metrics as _metrics
 from ..obs import trace as _trace
 from ..sim import Environment
 from ..sim import profile as _profile
-from .ads import MachineSnapshot
-from .classad import symmetric_match
+from .ads import DeviceSnapshot, MachineSnapshot
+from .classad import matcher, symmetric_match
 from .collector import AMBIGUOUS_NAME, Collector, LiveCycleView
 from .schedd import (
     COMPLETE,
@@ -152,6 +152,29 @@ class ExclusivePlacement(PlacementPolicy):
         return None
 
 
+def _fits(device: DeviceSnapshot, declared: float, memory_aware: bool) -> bool:
+    """Whether a shared job declaring ``declared`` MB may go to ``device``:
+    the card is up and not claimed exclusively, and when placement is
+    memory-aware, its free declared memory covers the declaration."""
+    return (
+        not device.claimed_exclusive
+        and not device.failed
+        and (not memory_aware or device.free_declared_mb >= declared)
+    )
+
+
+def _can_host(
+    snapshot: MachineSnapshot, declared: float, memory_aware: bool
+) -> bool:
+    """Whether ``snapshot`` has a free slot and a device that fits."""
+    if snapshot.free_slots <= 0:
+        return False
+    for device in snapshot.devices:
+        if _fits(device, declared, memory_aware):
+            return True
+    return False
+
+
 class RandomPlacement(PlacementPolicy):
     """MCC: uniform-random node among those that can hold the job.
 
@@ -167,37 +190,21 @@ class RandomPlacement(PlacementPolicy):
 
     def place(self, record, candidates):
         declared = record.profile.declared_memory_mb
-        viable: list[tuple] = []
-        for snapshot in candidates:
-            if snapshot.free_slots <= 0:
-                continue
-            fitting = [
-                d
-                for d in snapshot.devices
-                if not d.claimed_exclusive
-                and not d.failed
-                and (not self.memory_aware or d.free_declared_mb >= declared)
-            ]
-            if fitting:
-                viable.append((snapshot, fitting))
+        aware = self.memory_aware
+        viable = [s for s in candidates if _can_host(s, declared, aware)]
         if not viable:
             return None
-        snapshot, fitting = self.rng.choice(viable)
+        # Only the chosen node's devices are listed: the same two draws
+        # over the same lists as listing every viable node's.
+        snapshot = self.rng.choice(viable)
+        fitting = [d for d in snapshot.devices if _fits(d, declared, aware)]
         device = self.rng.choice(fitting)
         return snapshot, device.index, False
 
     def prefilter(self, record, view):
         declared = record.profile.declared_memory_mb
-        return any(
-            s.free_slots > 0
-            and any(
-                not d.claimed_exclusive
-                and not d.failed
-                and (not self.memory_aware or d.free_declared_mb >= declared)
-                for d in s.devices
-            )
-            for s in view.candidates()
-        )
+        aware = self.memory_aware
+        return any(_can_host(s, declared, aware) for s in view.candidates())
 
 
 class BestFitPlacement(PlacementPolicy):
@@ -216,11 +223,9 @@ class BestFitPlacement(PlacementPolicy):
             if snapshot.free_slots <= 0:
                 continue
             for device in snapshot.devices:
-                if device.claimed_exclusive or device.failed:
+                if not _fits(device, declared, True):
                     continue
                 slack = device.free_declared_mb - declared
-                if slack < 0:
-                    continue
                 if best is None or slack < best[0]:
                     best = (slack, snapshot, device)
         if best is None:
@@ -230,16 +235,7 @@ class BestFitPlacement(PlacementPolicy):
 
     def prefilter(self, record, view):
         declared = record.profile.declared_memory_mb
-        return any(
-            s.free_slots > 0
-            and any(
-                not d.claimed_exclusive
-                and not d.failed
-                and d.free_declared_mb >= declared
-                for d in s.devices
-            )
-            for s in view.candidates()
-        )
+        return any(_can_host(s, declared, True) for s in view.candidates())
 
 
 class PinnedPlacement(PlacementPolicy):
@@ -637,11 +633,11 @@ class Negotiator:
         snapshots = view.candidates()
         stats.full_scans += 1
         stats.evals += len(snapshots)
-        candidates = [
-            snapshot
-            for snapshot in snapshots
-            if symmetric_match(record.ad, view.ad(snapshot))
-        ]
+        # One matcher per scan: the job's Requirements closure and the
+        # machines' shared one are looked up once, not once per probe.
+        matches = matcher(record.ad)
+        ad = view.ad
+        candidates = [snapshot for snapshot in snapshots if matches(ad(snapshot))]
         if not candidates:
             return None
         return self.policy.place(record, candidates)

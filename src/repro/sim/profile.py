@@ -57,8 +57,11 @@ class SimProfiler:
         only, never a parked one (those are counted by bisection).
     compile_hits / compile_misses / compile_evictions:
         ClassAd closure-compiler cache traffic (see
-        :mod:`repro.condor.compile`); evictions count LRU drops across
-        the closure and plan caches.
+        :mod:`repro.condor.compile`): one lookup per evaluation outside
+        matchmaking, and one per side per scan inside it, where
+        :func:`repro.condor.classad.matcher` reuses both closures across
+        the probed machines; evictions count LRU drops across the
+        closure and plan caches.
     repack_passes / devices_repacked:
         Knapsack scheduler: completion-triggered repack passes run, and
         dirty devices repacked across them.

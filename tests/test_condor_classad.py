@@ -2,11 +2,14 @@
 
 import pytest
 
+from repro.condor import compile as compile_mod
 from repro.condor.classad import (
     ERROR,
     UNDEFINED,
     ClassAd,
     ClassAdError,
+    Literal,
+    matcher,
     parse,
     rank,
     symmetric_match,
@@ -270,3 +273,32 @@ class TestMatchmaking:
         other = machine.copy()
         other["Name"] = "slot1@n2"
         assert not symmetric_match(job, other)
+
+    def test_matcher_reads_missing_and_literal_requirements(self):
+        machine = self._machine()
+        assert matcher(ClassAd())(machine) is False
+        job = self._job()
+        job["Requirements"] = True
+        assert matcher(job)(machine) is True
+        job["Requirements"] = Literal(1)
+        assert matcher(job)(machine) is False
+        job = self._job()
+        del machine["Requirements"]
+        assert matcher(job)(machine) is False
+        machine["Requirements"] = True
+        assert matcher(job)(machine) is True
+
+    def test_matcher_looks_each_shared_closure_up_once(self):
+        job = self._job()
+        machines = [self._machine(memory=m) for m in (1000, 8192, 3000, 9000)]
+        shared = machines[0].get_expr("Requirements")
+        for machine in machines:
+            machine._attrs["requirements"] = shared
+        matches = matcher(job)
+        before = compile_mod.cache_hits + compile_mod.cache_misses
+        verdicts = [matches(machine) for machine in machines]
+        # The job's closure was looked up when the matcher was made; the
+        # machines' shared closure is looked up at the first probe only.
+        assert compile_mod.cache_hits + compile_mod.cache_misses == before + 1
+        assert verdicts == [symmetric_match(job, m) for m in machines]
+        assert verdicts == [False, True, False, True]

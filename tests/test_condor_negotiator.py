@@ -8,6 +8,8 @@ import pytest
 
 from repro.cluster import ComputeNode, run_configuration, simulation
 from repro.condor import (
+    BestFitPlacement,
+    ClassAd,
     Collector,
     CondorPool,
     DeviceSnapshot,
@@ -21,9 +23,10 @@ from repro.condor import (
     job_ad,
     machine_ad,
     pin_requirements,
+    set_compilation,
     symmetric_match,
 )
-from repro.condor.classad import Literal
+from repro.condor.classad import Literal, matcher
 from repro.condor.collector import AMBIGUOUS_NAME, LiveCycleView
 from repro.condor.compile import requirements_plan
 from repro.condor.negotiator import CycleStats
@@ -82,6 +85,57 @@ class _FakeRecord:
 def record(memory=1000.0, sharing=True, memory_aware=True):
     profile = make_profile(memory=memory)
     return _FakeRecord(profile, job_ad(profile, sharing, memory_aware))
+
+
+def two_card_snapshot():
+    snap = snapshot()
+    snap.devices.append(dataclasses.replace(snap.devices[0], index=1))
+    return snap
+
+
+def apply_sets(ad, sets):
+    """Apply ``("set", name, value)`` / ``("expr", name, text)`` writes."""
+    for kind, name, value in sets:
+        if kind == "set":
+            ad[name] = value
+        else:
+            ad.set_expr(name, value)
+    return ad
+
+
+def materialized_ad(snap, sets=()):
+    """A machine ad's copy as it was made when every advertised
+    attribute was computed from the snapshot at read time: the attributes
+    no set shadows, in advertised order, then Requirements and the sets."""
+    usable = [d for d in snap.devices if not d.failed]
+    advertised = {
+        "Name": f"slot1@{snap.node}",
+        "Machine": snap.node,
+        "TotalSlots": snap.total_slots,
+        "FreeSlots": snap.free_slots,
+        "PhiDevices": len(usable),
+        "PhiDevicesFree": snap.devices_free,
+        "PhiMemory": float(max((d.memory_mb for d in usable), default=0.0)),
+        "PhiFreeMemory": float(
+            max((d.free_declared_mb for d in usable), default=0.0)
+        ),
+    }
+    shadowed = {name.lower() for _kind, name, _value in sets}
+    ad = ClassAd()
+    for name, value in advertised.items():
+        if name.lower() not in shadowed:
+            ad[name] = value
+    ad.set_expr("Requirements", "TARGET.RequestPhiMemory <= MY.PhiMemory")
+    return apply_sets(ad, sets)
+
+
+def attribute(ad, name):
+    """An attribute as comparable data: a literal's type and value, or
+    the expression object itself."""
+    expr = ad.get_expr(name)
+    if type(expr) is Literal:
+        return type(expr.value), expr.value
+    return expr
 
 
 class TestAds:
@@ -174,6 +228,46 @@ class TestAds:
         ad["FreeSlots"] = 0
         assert ad.evaluate("FreeSlots") == 0
 
+    def test_exclusive_deduction_shows_in_devices_free(self):
+        snap = two_card_snapshot()
+        ad = machine_ad(snap)
+        assert ad.evaluate("PhiDevicesFree") == 2
+        policy = ExclusivePlacement()
+        policy.deduct(snap, 0, True, 1000.0)
+        assert ad.evaluate("PhiDevicesFree") == 1
+        assert ad.evaluate("FreeSlots") == 3
+        policy.deduct(snap, 1, True, 1000.0)
+        assert ad.evaluate("PhiDevicesFree") == 0
+        assert not symmetric_match(record(sharing=False).ad, ad)
+
+    @pytest.mark.parametrize("sets", [
+        (),
+        (("set", "FreeSlots", 0), ("expr", "Requirements", "true")),
+        (("set", "PhiMemory", 123.0), ("set", "Extra", "x"),
+         ("set", "name", "slot1@other")),
+    ])
+    def test_view_copy_equals_the_materialized_ad(self, sets):
+        snap = two_card_snapshot()
+        snap.devices[1].failed = True
+        view = apply_sets(machine_ad(snap), sets)
+        RandomPlacement(random.Random(0)).deduct(snap, 0, False, 2000.0)
+        expected = materialized_ad(snap, sets)
+        for ad in (view, view.copy()):
+            assert ad.keys() == expected.keys()
+            for name in expected.keys():
+                assert name in ad
+                assert attribute(ad, name) == attribute(expected, name)
+
+    def test_deleting_an_explicit_set_shows_the_machine_value(self):
+        snap = snapshot()
+        ad = machine_ad(snap)
+        with pytest.raises(KeyError):
+            del ad["PhiMemory"]
+        ad["PhiMemory"] = 1.0
+        del ad["PhiMemory"]
+        assert ad.evaluate("PhiMemory") == 8192.0
+        assert ad.keys() == machine_ad(snap).keys()
+
 
 class TestExclusivePlacement:
     def test_first_fit(self):
@@ -243,6 +337,178 @@ class TestRandomPlacement:
         assert snap.devices[0].free_declared_mb == 3000
         assert snap.devices[0].resident_jobs == 1
         assert snap.free_slots == 3
+
+    @pytest.mark.parametrize("seed", range(100))
+    def test_place_draws_as_listing_every_node(self, seed):
+        rng = random.Random(seed)
+        for memory_aware in (False, True):
+            policy = RandomPlacement(random.Random(seed), memory_aware)
+            oracle = RandomPlacement(random.Random(seed), memory_aware)
+            for _ in range(20):
+                snaps = random_snapshots(rng, rng.randint(0, 6))
+                rec = record(memory=rng.choice((500.0, 3000.0, 7000.0)))
+                placed = policy.place(rec, snaps)
+                expected = place_listing_every_node(oracle, rec, snaps)
+                assert placed == expected
+                assert placed is None or placed[0] is expected[0]
+                assert policy.rng.getstate() == oracle.rng.getstate()
+                best = BestFitPlacement()
+                assert best.place(rec, snaps) == best_fit_by_slack(rec, snaps)
+                view = _ListView(snaps)
+                for candidate in (policy, best):
+                    assert candidate.prefilter(rec, view) == any_device_fits(
+                        rec, snaps, candidate.memory_aware
+                    )
+
+
+def random_snapshots(rng, count):
+    """Nodes with 1-3 cards each, some failed, claimed or filled."""
+    return [
+        MachineSnapshot(
+            node=f"n{i}",
+            total_slots=4,
+            free_slots=rng.choice((0, 1, 1, 2, 4)),
+            devices=[
+                DeviceSnapshot(
+                    index=k,
+                    memory_mb=8192.0,
+                    free_declared_mb=rng.choice((0.0, 1000.0, 3000.0, 8192.0)),
+                    resident_jobs=rng.randint(0, 3),
+                    hardware_threads=240,
+                    claimed_exclusive=rng.random() < 0.2,
+                    failed=rng.random() < 0.2,
+                )
+                for k in range(rng.randint(1, 3))
+            ],
+        )
+        for i in range(count)
+    ]
+
+
+def place_listing_every_node(policy, record, candidates):
+    """``RandomPlacement.place`` as it was: it listed the fitting devices
+    of every viable node before drawing one node, then one device."""
+    declared = record.profile.declared_memory_mb
+    viable = []
+    for snapshot in candidates:
+        if snapshot.free_slots <= 0:
+            continue
+        fitting = [
+            d
+            for d in snapshot.devices
+            if not d.claimed_exclusive
+            and not d.failed
+            and (not policy.memory_aware or d.free_declared_mb >= declared)
+        ]
+        if fitting:
+            viable.append((snapshot, fitting))
+    if not viable:
+        return None
+    snapshot, fitting = policy.rng.choice(viable)
+    device = policy.rng.choice(fitting)
+    return snapshot, device.index, False
+
+
+def best_fit_by_slack(record, candidates):
+    """``BestFitPlacement.place`` as it was, with its own fit test."""
+    declared = record.profile.declared_memory_mb
+    best = None
+    for snapshot in candidates:
+        if snapshot.free_slots <= 0:
+            continue
+        for device in snapshot.devices:
+            if device.claimed_exclusive or device.failed:
+                continue
+            slack = device.free_declared_mb - declared
+            if slack < 0:
+                continue
+            if best is None or slack < best[0]:
+                best = (slack, snapshot, device)
+    if best is None:
+        return None
+    return best[1], best[2].index, False
+
+
+def any_device_fits(record, candidates, memory_aware):
+    """The prefilters as they were, inline."""
+    declared = record.profile.declared_memory_mb
+    return any(
+        s.free_slots > 0
+        and any(
+            not d.claimed_exclusive
+            and not d.failed
+            and (not memory_aware or d.free_declared_mb >= declared)
+            for d in s.devices
+        )
+        for s in candidates
+    )
+
+
+def two_evaluations(left, right):
+    """The symmetric rule as two ``ClassAd.evaluate`` calls."""
+    return (
+        left.evaluate("Requirements", right) is True
+        and right.evaluate("Requirements", left) is True
+    )
+
+
+def random_job_ad(rng):
+    """An MC, MCC or memory-aware submit ad, or one whose Requirements is
+    missing, a literal, or reads an expression-valued RequestPhiMemory."""
+    ad = job_ad(
+        make_profile(memory=rng.choice((500.0, 3000.0, 7000.0, 9000.0))),
+        sharing=rng.random() < 0.75,
+        memory_aware=rng.random() < 0.5,
+    )
+    shape = rng.randrange(6)
+    if shape == 0:
+        del ad["Requirements"]
+    elif shape == 1:
+        ad["Requirements"] = rng.choice((True, False, 1, "true"))
+    elif shape == 2:
+        ad["Base"] = rng.choice((250, 1500, 4500))
+        ad.set_expr("RequestPhiMemory", "MY.Base * 2")
+    return ad
+
+
+#: Explicit writes a machine view may carry, shadowing what it computes.
+MACHINE_SETS = (
+    (),
+    (("expr", "Requirements", "TARGET.RequestPhiMemory <= 2000"),),
+    (("expr", "Requirements", "true"),),
+    (("set", "PhiMemory", 2500.0),),
+    (("set", "PhiMemory", 2500.0), ("set", "FreeSlots", 1)),
+)
+
+
+@pytest.fixture(params=[True, False], ids=["compiled", "interpreted"])
+def compilation(request):
+    set_compilation(request.param)
+    yield request.param
+    set_compilation(True)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_matcher_agrees_with_fresh_views_across_deductions(seed, compilation):
+    rng = random.Random(seed)
+    snaps = random_snapshots(rng, 6)
+    sets = [rng.choice(MACHINE_SETS) for _ in snaps]
+    views = [apply_sets(machine_ad(s), w) for s, w in zip(snaps, sets)]
+    jobs = [random_job_ad(rng) for _ in range(8)]
+    policies = (RandomPlacement(rng), ExclusivePlacement())
+    for _round in range(6):
+        for job in jobs:
+            matches = matcher(job)
+            fresh = [apply_sets(machine_ad(s), w) for s, w in zip(snaps, sets)]
+            verdicts = [matches(view) for view in views]
+            assert verdicts == [two_evaluations(job, f) for f in fresh]
+            assert verdicts == [symmetric_match(job, f) for f in fresh]
+        # A deduction between probes, as a cycle makes after a match.
+        snap = rng.choice(snaps)
+        device = rng.choice(snap.devices)
+        policy = rng.choice(policies)
+        policy.deduct(snap, device.index, policy is policies[1],
+                      rng.choice((500.0, 3000.0)))
 
 
 def _pool(env, policy, nodes=3, slots=4):
