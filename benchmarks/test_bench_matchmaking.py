@@ -5,10 +5,11 @@ for MCCK's overhead on unfavourable distributions — and the ROADMAP's
 million-job north star makes the cycle the scheduler's scaling wall. This
 bench times one negotiation cycle at queue depth Q for each paper
 configuration (MC / MCC / MCCK) and compares it against a faithful
-replica of the pre-PR matchmaker: interpreted ClassAd evaluation, dict
-machine ads rebuilt on every deduction, per-record exhaustion checks,
-per-cycle queue sorting, and a full scan of every machine per examined
-job (no pinned-name index).
+replica of the pre-PR matchmaker: interpreted ClassAd evaluation (the
+tree-walking oracle in ``tests/classad_oracle.py``), dict machine ads
+rebuilt on every deduction, per-record exhaustion checks, per-cycle
+queue sorting, and a full scan of every machine per examined job (no
+pinned-name index).
 
 Methodology: a 16-node cosmic pool (16 slots each) receives Q pending
 jobs; MCCK additionally runs the knapsack scheduler's attach() pass so
@@ -39,7 +40,9 @@ import gc
 import operator
 import os
 import random
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -52,13 +55,16 @@ from repro.condor import (
     ExclusivePlacement,
     PinnedPlacement,
     RandomPlacement,
-    set_compilation,
 )
 from repro.condor.classad import Literal
 from repro.condor.schedd import IDLE, RUN
 from repro.core import DevicePacker, KnapsackClusterScheduler
 from repro.sim import Environment, profile
 from repro.workloads import JobProfile, OffloadPhase
+
+# The replica evaluates with the tests' tree-walking ClassAd oracle.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from classad_oracle import interpret
 
 NODES = 16
 SLOTS_PER_NODE = 16
@@ -183,10 +189,11 @@ def _dict_machine_ad(snapshot) -> ClassAd:
 
 
 def _baseline_symmetric_match(left, right) -> bool:
-    """The pre-PR ``symmetric_match``: two ``evaluate`` calls per probe."""
+    """The pre-PR ``symmetric_match``: two interpreted evaluations per
+    probe."""
     return (
-        left.evaluate("Requirements", right) is True
-        and right.evaluate("Requirements", left) is True
+        interpret(left, "Requirements", right) is True
+        and interpret(right, "Requirements", left) is True
     )
 
 
@@ -225,7 +232,6 @@ def _baseline_cycle(pool: CondorPool):
     env, policy = negotiator.env, negotiator.policy
     schedd, collector = negotiator.schedd, negotiator.collector
     started: list = []
-    set_compilation(False)
     gc.collect()
     gc.disable()
     try:
@@ -266,7 +272,6 @@ def _baseline_cycle(pool: CondorPool):
         elapsed_ms = (time.perf_counter() - t0) * 1e3
     finally:
         gc.enable()
-        set_compilation(True)
     return elapsed_ms, evals, [(r.job_id, r.matched_node) for r in started]
 
 

@@ -14,10 +14,8 @@ from .classad import (
     UNDEFINED,
     ClassAd,
     ClassAdError,
-    compilation_enabled,
     parse,
     rank,
-    set_compilation,
     symmetric_match,
 )
 from .claims import (
@@ -99,7 +97,6 @@ __all__ = [
     "CycleStats",
     "MachineAdView",
     "RequirementsPlan",
-    "compilation_enabled",
     "compile_expr",
     "format_classad",
     "job_ad",
@@ -112,7 +109,6 @@ __all__ = [
     "pin_requirements",
     "rank",
     "requirements_plan",
-    "set_compilation",
     "slot_name",
     "symmetric_match",
 ]

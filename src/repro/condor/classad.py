@@ -1,4 +1,4 @@
-"""A ClassAd expression language: lexer, parser, and evaluator.
+"""A ClassAd expression language: lexer, parser, and ads.
 
 HTCondor's matchmaking rests on ClassAds: each job and each machine is a
 set of named attributes whose values are literals or expressions, and
@@ -15,9 +15,11 @@ language the paper's integration exercises:
   yield ``undefined``;
 * a small builtin function library.
 
-Evaluation follows ClassAd three-valued logic: ``undefined`` propagates
-through strict operators, while ``&&``/``||`` short-circuit around it
-(``False && undefined -> False``; ``True || undefined -> True``).
+Expressions parse to plain AST nodes, and :mod:`repro.condor.compile`
+evaluates them. Evaluation follows ClassAd three-valued logic:
+``undefined`` propagates through strict operators, while ``&&``/``||``
+short-circuit around it (``False && undefined -> False``;
+``True || undefined -> True``).
 """
 
 from __future__ import annotations
@@ -72,33 +74,17 @@ MISSING = _MissingType()
 
 Value = Union[int, float, str, bool, _Marker]
 
-#: Route ``ClassAd.evaluate`` through compiled closures (see
-#: :mod:`repro.condor.compile`). Disabled, every evaluation walks the
-#: interpreted AST exactly as before the compiler existed — the
-#: matchmaking benchmark uses this to measure its baseline, and the
-#: equivalence property tests compare the two modes directly.
-_COMPILE_ENABLED = True
 #: ``compile.compile_expr``, bound on first use: that module imports this one.
 _compile_expr = None
 
 
-def set_compilation(enabled: bool) -> None:
-    """Globally enable/disable the compiled evaluation path."""
-    global _COMPILE_ENABLED
-    _COMPILE_ENABLED = bool(enabled)
-
-
-def compilation_enabled() -> bool:
-    return _COMPILE_ENABLED
-
-
 def _evaluator(expr: Expr) -> Callable[[EvalContext], Value]:
     """What evaluating ``expr`` calls with its context: the compiled
-    closure (one lookup in the compiler's memo), or with compilation off,
-    or for a literal, the interpreter's own ``Expr.evaluate``."""
+    closure (one lookup in the compiler's memo), or for a literal, a
+    closure returning its value that leaves the memo alone."""
     global _compile_expr
-    if not _COMPILE_ENABLED or type(expr) is Literal:
-        return expr.evaluate
+    if type(expr) is Literal:
+        return lambda ctx, _v=expr.value: _v
     if _compile_expr is None:
         from .compile import compile_expr
 
@@ -149,18 +135,13 @@ def tokenize(text: str) -> list[tuple[str, str]]:
 
 
 class Expr:
-    """Base class of expression nodes."""
-
-    def evaluate(self, ctx: "EvalContext") -> Value:
-        raise NotImplementedError
+    """Base class of expression nodes: plain data, evaluated by the
+    closures :mod:`repro.condor.compile` builds from them."""
 
 
 class Literal(Expr):
     def __init__(self, value: Value) -> None:
         self.value = value
-
-    def evaluate(self, ctx: "EvalContext") -> Value:
-        return self.value
 
     def __repr__(self) -> str:
         return f"Literal({self.value!r})"
@@ -173,9 +154,6 @@ class AttrRef(Expr):
         self.name = name
         self.scope = scope
 
-    def evaluate(self, ctx: "EvalContext") -> Value:
-        return ctx.lookup(self.name, self.scope)
-
     def __repr__(self) -> str:
         prefix = f"{self.scope}." if self.scope else ""
         return f"AttrRef({prefix}{self.name})"
@@ -186,125 +164,12 @@ class UnaryOp(Expr):
         self.op = op
         self.operand = operand
 
-    def evaluate(self, ctx: "EvalContext") -> Value:
-        value = self.operand.evaluate(ctx)
-        if value is ERROR:
-            return ERROR
-        if value is UNDEFINED:
-            return UNDEFINED
-        if self.op == "-":
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                return ERROR
-            return -value
-        if self.op == "!":
-            if not isinstance(value, bool):
-                return ERROR
-            return not value
-        raise ClassAdError(f"unknown unary operator {self.op!r}")
-
 
 class BinaryOp(Expr):
     def __init__(self, op: str, left: Expr, right: Expr) -> None:
         self.op = op
         self.left = left
         self.right = right
-
-    def evaluate(self, ctx: "EvalContext") -> Value:
-        op = self.op
-        if op in ("&&", "||"):
-            return self._evaluate_logical(ctx)
-        if op in ("=?=", "=!="):
-            left = self.left.evaluate(ctx)
-            right = self.right.evaluate(ctx)
-            same = _meta_equal(left, right)
-            return same if op == "=?=" else not same
-
-        left = self.left.evaluate(ctx)
-        right = self.right.evaluate(ctx)
-        if left is ERROR or right is ERROR:
-            return ERROR
-        if left is UNDEFINED or right is UNDEFINED:
-            return UNDEFINED
-        if op in ("+", "-", "*", "/"):
-            return self._arith(op, left, right)
-        return self._compare(op, left, right)
-
-    def _evaluate_logical(self, ctx: "EvalContext") -> Value:
-        left = self.left.evaluate(ctx)
-        if left is ERROR:
-            return ERROR
-        # Short-circuit around definite outcomes.
-        if isinstance(left, bool):
-            if self.op == "&&" and left is False:
-                return False
-            if self.op == "||" and left is True:
-                return True
-        elif left is not UNDEFINED:
-            return ERROR  # non-boolean operand to a logical operator
-        right = self.right.evaluate(ctx)
-        if right is ERROR:
-            return ERROR
-        if isinstance(right, bool):
-            if self.op == "&&" and right is False:
-                return False
-            if self.op == "||" and right is True:
-                return True
-        elif right is not UNDEFINED:
-            return ERROR
-        if left is UNDEFINED or right is UNDEFINED:
-            return UNDEFINED
-        assert isinstance(left, bool) and isinstance(right, bool)
-        return (left and right) if self.op == "&&" else (left or right)
-
-    @staticmethod
-    def _arith(op: str, left: Value, right: Value) -> Value:
-        if isinstance(left, bool) or isinstance(right, bool):
-            return ERROR
-        if not isinstance(left, (int, float)) or not isinstance(right, (int, float)):
-            if op == "+" and isinstance(left, str) and isinstance(right, str):
-                return left + right
-            return ERROR
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
-        if right == 0:
-            return ERROR
-        result = left / right
-        if isinstance(left, int) and isinstance(right, int):
-            return int(left / right)  # C-style integer division
-        return result
-
-    @staticmethod
-    def _compare(op: str, left: Value, right: Value) -> Value:
-        if isinstance(left, str) and isinstance(right, str):
-            lv, rv = left.lower(), right.lower()  # ClassAd strings: case-insensitive
-        elif isinstance(left, bool) and isinstance(right, bool):
-            lv, rv = left, right
-        elif (
-            isinstance(left, (int, float))
-            and isinstance(right, (int, float))
-            and not isinstance(left, bool)
-            and not isinstance(right, bool)
-        ):
-            lv, rv = left, right
-        else:
-            return ERROR
-        if op == "==":
-            return lv == rv
-        if op == "!=":
-            return lv != rv
-        if op == "<":
-            return lv < rv
-        if op == "<=":
-            return lv <= rv
-        if op == ">":
-            return lv > rv
-        if op == ">=":
-            return lv >= rv
-        raise ClassAdError(f"unknown comparison {op!r}")
 
 
 class Ternary(Expr):
@@ -313,147 +178,11 @@ class Ternary(Expr):
         self.then = then
         self.other = other
 
-    def evaluate(self, ctx: "EvalContext") -> Value:
-        cond = self.cond.evaluate(ctx)
-        if cond is ERROR or cond is UNDEFINED:
-            return cond
-        if not isinstance(cond, bool):
-            return ERROR
-        return self.then.evaluate(ctx) if cond else self.other.evaluate(ctx)
-
 
 class FuncCall(Expr):
     def __init__(self, name: str, args: list[Expr]) -> None:
         self.name = name.lower()
         self.args = args
-
-    def evaluate(self, ctx: "EvalContext") -> Value:
-        func = _BUILTINS.get(self.name)
-        if func is None:
-            return ERROR
-        values = [arg.evaluate(ctx) for arg in self.args]
-        if any(v is ERROR for v in values):
-            return ERROR
-        try:
-            return func(values)
-        except ClassAdError:
-            return ERROR
-
-
-def _meta_equal(left: Value, right: Value) -> bool:
-    """=?= semantics: identical types and values; UNDEFINED =?= UNDEFINED."""
-    if left is UNDEFINED or right is UNDEFINED:
-        return left is right
-    if left is ERROR or right is ERROR:
-        return left is right
-    if isinstance(left, bool) != isinstance(right, bool):
-        return False
-    if isinstance(left, str) and isinstance(right, str):
-        return left.lower() == right.lower()
-    if type(left) is type(right) or (
-        isinstance(left, (int, float)) and isinstance(right, (int, float))
-    ):
-        return left == right
-    return False
-
-
-# -- builtin functions -------------------------------------------------------
-
-
-def _need_number(value: Value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ClassAdError("number expected")
-    return value
-
-
-def _builtin_floor(args: list[Value]) -> Value:
-    (value,) = args
-    if value is UNDEFINED:
-        return UNDEFINED
-    import math
-
-    return int(math.floor(_need_number(value)))
-
-
-def _builtin_ceiling(args: list[Value]) -> Value:
-    (value,) = args
-    if value is UNDEFINED:
-        return UNDEFINED
-    import math
-
-    return int(math.ceil(_need_number(value)))
-
-
-def _builtin_min(args: list[Value]) -> Value:
-    if any(v is UNDEFINED for v in args):
-        return UNDEFINED
-    return min(_need_number(v) for v in args)
-
-
-def _builtin_max(args: list[Value]) -> Value:
-    if any(v is UNDEFINED for v in args):
-        return UNDEFINED
-    return max(_need_number(v) for v in args)
-
-
-def _builtin_strcat(args: list[Value]) -> Value:
-    parts = []
-    for value in args:
-        if value is UNDEFINED:
-            return UNDEFINED
-        if isinstance(value, bool):
-            parts.append("true" if value else "false")
-        elif isinstance(value, (int, float, str)):
-            parts.append(str(value))
-        else:
-            raise ClassAdError("bad strcat argument")
-    return "".join(parts)
-
-
-def _builtin_tolower(args: list[Value]) -> Value:
-    (value,) = args
-    if value is UNDEFINED:
-        return UNDEFINED
-    if not isinstance(value, str):
-        raise ClassAdError("string expected")
-    return value.lower()
-
-
-def _builtin_toupper(args: list[Value]) -> Value:
-    (value,) = args
-    if value is UNDEFINED:
-        return UNDEFINED
-    if not isinstance(value, str):
-        raise ClassAdError("string expected")
-    return value.upper()
-
-
-def _builtin_string_list_member(args: list[Value]) -> Value:
-    item, lst = args
-    if item is UNDEFINED or lst is UNDEFINED:
-        return UNDEFINED
-    if not isinstance(item, str) or not isinstance(lst, str):
-        raise ClassAdError("strings expected")
-    members = [m.strip().lower() for m in lst.split(",")]
-    return item.lower() in members
-
-
-def _builtin_is_undefined(args: list[Value]) -> Value:
-    (value,) = args
-    return value is UNDEFINED
-
-
-_BUILTINS: dict[str, Callable[[list[Value]], Value]] = {
-    "floor": _builtin_floor,
-    "ceiling": _builtin_ceiling,
-    "min": _builtin_min,
-    "max": _builtin_max,
-    "strcat": _builtin_strcat,
-    "tolower": _builtin_tolower,
-    "toupper": _builtin_toupper,
-    "stringlistmember": _builtin_string_list_member,
-    "isundefined": _builtin_is_undefined,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -618,47 +347,18 @@ def parse(text: str) -> Expr:
 
 
 class EvalContext:
-    """Name resolution for evaluation: (my ad, optional target ad)."""
+    """What an expression evaluates against: (my ad, optional target ad),
+    and ``_depth``, how many expression-valued attributes enclose it
+    (the compiler's circularity guard reads it)."""
 
     __slots__ = ("my", "target", "_depth")
 
-    def __init__(self, my: "ClassAd", target: Optional["ClassAd"] = None) -> None:
+    def __init__(
+        self, my: "ClassAd", target: Optional["ClassAd"] = None, depth: int = 0
+    ) -> None:
         self.my = my
         self.target = target
-        self._depth = 0
-
-    def lookup(self, name: str, scope: Optional[str]) -> Value:
-        if self._depth > 32:
-            return ERROR  # circular attribute definitions
-        self._depth += 1
-        try:
-            if scope == "my":
-                return self._from(self.my, name)
-            if scope == "target":
-                if self.target is None:
-                    return UNDEFINED
-                return self._from_other(self.target, name)
-            value = self._from(self.my, name)
-            if value is UNDEFINED and self.target is not None:
-                value = self._from_other(self.target, name)
-            return value
-        finally:
-            self._depth -= 1
-
-    def _from(self, ad: "ClassAd", name: str) -> Value:
-        expr = ad.get_expr(name)
-        if expr is None:
-            return UNDEFINED
-        return expr.evaluate(self)
-
-    def _from_other(self, ad: "ClassAd", name: str) -> Value:
-        # Attribute expressions on the other ad evaluate with roles swapped.
-        expr = ad.get_expr(name)
-        if expr is None:
-            return UNDEFINED
-        swapped = EvalContext(ad, self.my)
-        swapped._depth = self._depth
-        return expr.evaluate(swapped)
+        self._depth = depth
 
 
 class ClassAd:
@@ -713,9 +413,9 @@ class ClassAd:
 
         ``key`` must already be lowercase. Returns the literal value for
         literal-valued attributes, the :class:`Expr` for
-        expression-valued ones (the caller falls back to the interpreted
-        lookup, which owns the circularity guard and role-swap rules),
-        or :data:`MISSING` when the attribute is absent.
+        expression-valued ones (the caller compiles and runs it, one
+        level deeper for the circularity guard), or :data:`MISSING` when
+        the attribute is absent.
         """
         expr = self._attrs.get(key)
         if expr is None:
@@ -732,10 +432,10 @@ class ClassAd:
     def evaluate(self, name: str, target: Optional["ClassAd"] = None) -> Value:
         """Evaluate attribute ``name`` against an optional target ad.
 
-        Routes through the closure compiler (:mod:`repro.condor.compile`)
-        unless :func:`set_compilation` disabled it. Compiled closures are
-        memoized per AST node, and each call pays one memo lookup and one
-        fresh :class:`EvalContext`; matchmaking one ad against many goes
+        A literal is its own value. Anything else runs the closure
+        :mod:`repro.condor.compile` builds for it: closures are memoized
+        per AST node, and each call pays one memo lookup and one fresh
+        :class:`EvalContext`; matchmaking one ad against many goes
         through :func:`matcher`, which pays them once per side instead.
         ``set_expr`` (condor_qedit) and requeue's ``base_requirements``
         restore both *replace* the stored Expr, so a rewritten attribute
@@ -745,7 +445,7 @@ class ClassAd:
         expr = self._attrs.get(name.lower())
         if expr is None:
             return UNDEFINED
-        if _COMPILE_ENABLED and type(expr) is Literal:
+        if type(expr) is Literal:
             # No context needed: a literal evaluates to itself.
             return expr.value
         return _evaluator(expr)(EvalContext(self, target))
@@ -778,8 +478,8 @@ def matcher(left: ClassAd) -> Callable[[ClassAd], bool]:
     Requirements up once, and the right side's once per run of
     consecutive ads sharing one Requirements Expr (every machine ad
     shares one), and re-points one :class:`EvalContext` per side at each
-    ad instead of allocating two per probe. The compilation mode is read
-    when the matcher is made; ``left`` must not change while it is used.
+    ad instead of allocating two per probe. ``left`` must not change
+    while it is used.
     """
     left_expr = left._attrs.get("requirements")
     if left_expr is None:

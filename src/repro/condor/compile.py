@@ -1,24 +1,21 @@
 """ClassAd expression → Python-closure compiler, plus Requirements analysis.
 
-The interpreted evaluator in :mod:`repro.condor.classad` walks an AST,
-re-dispatching on node type and re-parsing operator strings on every
-probe. Negotiation evaluates the *same handful* of expressions (the three
-submit-file Requirements shapes, the machine-side Requirements, the
-scheduler's per-node pins and the parking literal) millions of times per
-run, so this module compiles each :class:`~repro.condor.classad.Expr`
-tree **once** into a closure:
+This is the one ClassAd evaluator. Negotiation evaluates the *same
+handful* of expressions (the three submit-file Requirements shapes, the
+machine-side Requirements, the scheduler's per-node pins and the parking
+literal) millions of times per run, so this module compiles each
+:class:`~repro.condor.classad.Expr` tree **once** into a closure:
 
 * operator dispatch happens at compile time (one specialized closure per
   node instead of a ``self.op`` string test per evaluation);
 * attribute references become direct dict reads through
-  :meth:`ClassAd.raw`, with the full UNDEFINED / role-swap semantics
-  preserved (non-literal attribute values fall back to the interpreted
-  :meth:`EvalContext.lookup`, which is the only place the circularity
-  depth guard can trip);
+  :meth:`ClassAd.raw`, with the full UNDEFINED / role-swap semantics; an
+  expression-valued attribute compiles through the same memo and runs
+  one level deeper, and past :data:`_MAX_DEPTH` levels every read is
+  ERROR (the circularity guard);
 * constant subtrees are folded at compile time (the parking expression
   ``false`` compiles to a single return);
-* ``&&`` / ``||`` short-circuit exactly like the interpreter, including
-  the three-valued UNDEFINED rules.
+* ``&&`` / ``||`` short-circuit with the three-valued UNDEFINED rules.
 
 Closures are memoized per AST node. Because :func:`classad.parse` itself
 memoizes ASTs per source string, this is equivalent to memoization per
@@ -35,19 +32,19 @@ through :func:`classad.matcher`, which makes one for the job and one for
 the Requirements every machine ad shares: two per scan, not two per
 probed machine.
 
-Equivalence with the interpreter (values *and* UNDEFINED/ERROR
-propagation) is property-tested in
-``tests/test_condor_classad_properties.py``.
+``tests/classad_oracle.py`` keeps a tree-walking reference evaluator.
+The property tests in ``tests/test_condor_classad_properties.py`` check
+that this module matches it: values *and* UNDEFINED/ERROR propagation.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from typing import Callable, Optional
 
 from ..sim import profile as _profile
 from .classad import (
-    _BUILTINS,
     ERROR,
     UNDEFINED,
     AttrRef,
@@ -62,7 +59,6 @@ from .classad import (
     Ternary,
     UnaryOp,
     Value,
-    _meta_equal,
 )
 
 #: A compiled expression: call with an evaluation context, get a value.
@@ -87,9 +83,6 @@ cache_hits = 0
 cache_misses = 0
 #: LRU evictions across the closure and plan caches since process start.
 cache_evictions = 0
-
-_ARITH = BinaryOp._arith
-_COMPARE = BinaryOp._compare
 
 _CMP_OPS = {
     "==": operator.eq,
@@ -303,26 +296,54 @@ def _fold(built: tuple[CompiledExpr, bool]) -> tuple[CompiledExpr, bool]:
     return fn, False
 
 
+#: Expression-valued attributes evaluate against their ads down to this
+#: many levels of nesting; one level further every attribute read is
+#: ERROR, which is where circular definitions end.
+_MAX_DEPTH = 32
+
+
+class _Exhausted:
+    """Both ads of an expression past :data:`_MAX_DEPTH`: every read is
+    ERROR."""
+
+    __slots__ = ()
+
+    def raw(self, key: str) -> Value:
+        return ERROR
+
+
+_EXHAUSTED = _Exhausted()
+_EXHAUSTED_CTX = EvalContext(_EXHAUSTED, _EXHAUSTED, _MAX_DEPTH + 1)
+
+
+def _nested(
+    expr: Expr, depth: int, my: ClassAd, target: Optional[ClassAd]
+) -> Value:
+    """Evaluate ``my``'s expression-valued attribute ``expr`` against
+    ``target``, one level below an expression at ``depth``."""
+    fn = _compiled(expr)[0]
+    if depth >= _MAX_DEPTH:
+        return fn(_EXHAUSTED_CTX)
+    return fn(EvalContext(my, target, depth + 1))
+
+
 def _build_attr(expr: AttrRef) -> CompiledExpr:
     key = expr.name.lower()
-    name = expr.name
     scope = expr.scope
     if scope == "my":
 
-        def run_my(ctx: EvalContext, _key=key, _name=name) -> Value:
+        def run_my(ctx: EvalContext, _key=key) -> Value:
             value = ctx.my.raw(_key)
             if value is MISSING:
                 return UNDEFINED
             if isinstance(value, Expr):
-                # Expression-valued attribute: interpreted lookup keeps
-                # the depth guard and role-swap semantics exact.
-                return ctx.lookup(_name, "my")
+                return _nested(value, ctx._depth, ctx.my, ctx.target)
             return value
 
         return run_my
     if scope == "target":
 
-        def run_target(ctx: EvalContext, _key=key, _name=name) -> Value:
+        def run_target(ctx: EvalContext, _key=key) -> Value:
             target = ctx.target
             if target is None:
                 return UNDEFINED
@@ -330,19 +351,22 @@ def _build_attr(expr: AttrRef) -> CompiledExpr:
             if value is MISSING:
                 return UNDEFINED
             if isinstance(value, Expr):
-                return ctx.lookup(_name, "target")
+                # The other ad's expressions evaluate with roles swapped.
+                return _nested(value, ctx._depth, target, ctx.my)
             return value
 
         return run_target
 
-    def run(ctx: EvalContext, _key=key, _name=name) -> Value:
-        # Unscoped: my ad first; UNDEFINED (missing *or* literally
-        # undefined) falls through to the target ad.
+    def run(ctx: EvalContext, _key=key) -> Value:
+        # Unscoped: my ad first; UNDEFINED (missing, literally undefined,
+        # or what an expression yields) falls through to the target ad.
         value = ctx.my.raw(_key)
         if value is not MISSING and value is not UNDEFINED:
-            if isinstance(value, Expr):
-                return ctx.lookup(_name, None)
-            return value
+            if not isinstance(value, Expr):
+                return value
+            value = _nested(value, ctx._depth, ctx.my, ctx.target)
+            if value is not UNDEFINED:
+                return value
         target = ctx.target
         if target is None:
             return UNDEFINED
@@ -350,7 +374,7 @@ def _build_attr(expr: AttrRef) -> CompiledExpr:
         if value is MISSING:
             return UNDEFINED
         if isinstance(value, Expr):
-            return ctx.lookup(_name, None)
+            return _nested(value, ctx._depth, target, ctx.my)
         return value
 
     return run
@@ -393,8 +417,8 @@ def _build_logical(expr: BinaryOp) -> tuple[CompiledExpr, bool]:
     conj = expr.op == "&&"
     if lconst:
         left = lf(_FOLD_CTX)
-        # Decisive constant left: the interpreter short-circuits without
-        # touching the right side, so folding is exact.
+        # Decisive constant left: the right side is never evaluated,
+        # so folding is exact.
         if conj and left is False:
             return (lambda ctx: False), True
         if not conj and left is True:
@@ -463,7 +487,7 @@ def _build_binary(expr: BinaryOp) -> tuple[CompiledExpr, bool]:
                 return ERROR
             if left is UNDEFINED or right is UNDEFINED:
                 return UNDEFINED
-            return _ARITH(_op, left, right)
+            return _arith(_op, left, right)
 
         return run_arith, const
     cmp = _CMP_OPS.get(op)
@@ -474,8 +498,8 @@ def _build_binary(expr: BinaryOp) -> tuple[CompiledExpr, bool]:
         left = _lf(ctx)
         right = _rf(ctx)
         # Fast paths guard with *exact* types so markers, bools, and any
-        # exotic numeric subclass fall through to the interpreter's
-        # static helper, keeping semantics bit-identical.
+        # exotic numeric subclass fall through to the general helper,
+        # keeping semantics bit-identical.
         lt = type(left)
         rt = type(right)
         if (lt is int or lt is float) and (rt is int or rt is float):
@@ -486,7 +510,7 @@ def _build_binary(expr: BinaryOp) -> tuple[CompiledExpr, bool]:
             return ERROR
         if left is UNDEFINED or right is UNDEFINED:
             return UNDEFINED
-        return _COMPARE(_op, left, right)
+        return _compare(_op, left, right)
 
     return run_cmp, const
 
@@ -510,9 +534,9 @@ def _build_ternary(expr: Ternary) -> tuple[CompiledExpr, bool]:
 def _build_func(expr: FuncCall) -> tuple[CompiledExpr, bool]:
     func = _BUILTINS.get(expr.name)
     if func is None:
-        # The interpreter returns ERROR for unknown functions without
-        # evaluating the arguments; evaluation is side-effect free, so
-        # folding to a constant is exact.
+        # An unknown function is ERROR without evaluating the arguments;
+        # evaluation is side-effect free, so folding to a constant is
+        # exact.
         return (lambda ctx: ERROR), True
     built = [_compiled(arg) for arg in expr.args]
     arg_fns = [fn for fn, _ in built]
@@ -529,6 +553,172 @@ def _build_func(expr: FuncCall) -> tuple[CompiledExpr, bool]:
             return ERROR
 
     return run, const
+
+
+# ---------------------------------------------------------------------------
+# Operator semantics
+# ---------------------------------------------------------------------------
+
+
+def _arith(op: str, left: Value, right: Value) -> Value:
+    if isinstance(left, bool) or isinstance(right, bool):
+        return ERROR
+    if not isinstance(left, (int, float)) or not isinstance(right, (int, float)):
+        if op == "+" and isinstance(left, str) and isinstance(right, str):
+            return left + right
+        return ERROR
+    if op == "+":
+        return left + right
+    if op == "-":
+        return left - right
+    if op == "*":
+        return left * right
+    if right == 0:
+        return ERROR
+    result = left / right
+    if isinstance(left, int) and isinstance(right, int):
+        return int(left / right)  # C-style integer division
+    return result
+
+def _compare(op: str, left: Value, right: Value) -> Value:
+    if isinstance(left, str) and isinstance(right, str):
+        lv, rv = left.lower(), right.lower()  # ClassAd strings: case-insensitive
+    elif isinstance(left, bool) and isinstance(right, bool):
+        lv, rv = left, right
+    elif (
+        isinstance(left, (int, float))
+        and isinstance(right, (int, float))
+        and not isinstance(left, bool)
+        and not isinstance(right, bool)
+    ):
+        lv, rv = left, right
+    else:
+        return ERROR
+    if op == "==":
+        return lv == rv
+    if op == "!=":
+        return lv != rv
+    if op == "<":
+        return lv < rv
+    if op == "<=":
+        return lv <= rv
+    if op == ">":
+        return lv > rv
+    if op == ">=":
+        return lv >= rv
+    raise ClassAdError(f"unknown comparison {op!r}")
+
+
+def _meta_equal(left: Value, right: Value) -> bool:
+    """=?= semantics: identical types and values; UNDEFINED =?= UNDEFINED."""
+    if left is UNDEFINED or right is UNDEFINED:
+        return left is right
+    if left is ERROR or right is ERROR:
+        return left is right
+    if isinstance(left, bool) != isinstance(right, bool):
+        return False
+    if isinstance(left, str) and isinstance(right, str):
+        return left.lower() == right.lower()
+    if type(left) is type(right) or (
+        isinstance(left, (int, float)) and isinstance(right, (int, float))
+    ):
+        return left == right
+    return False
+
+
+# -- builtin functions -------------------------------------------------------
+
+
+def _need_number(value: Value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ClassAdError("number expected")
+    return value
+
+
+def _builtin_floor(args: list[Value]) -> Value:
+    (value,) = args
+    if value is UNDEFINED:
+        return UNDEFINED
+    return int(math.floor(_need_number(value)))
+
+
+def _builtin_ceiling(args: list[Value]) -> Value:
+    (value,) = args
+    if value is UNDEFINED:
+        return UNDEFINED
+    return int(math.ceil(_need_number(value)))
+
+
+def _builtin_min(args: list[Value]) -> Value:
+    if any(v is UNDEFINED for v in args):
+        return UNDEFINED
+    return min(_need_number(v) for v in args)
+
+
+def _builtin_max(args: list[Value]) -> Value:
+    if any(v is UNDEFINED for v in args):
+        return UNDEFINED
+    return max(_need_number(v) for v in args)
+
+
+def _builtin_strcat(args: list[Value]) -> Value:
+    parts = []
+    for value in args:
+        if value is UNDEFINED:
+            return UNDEFINED
+        if isinstance(value, bool):
+            parts.append("true" if value else "false")
+        elif isinstance(value, (int, float, str)):
+            parts.append(str(value))
+        else:
+            raise ClassAdError("bad strcat argument")
+    return "".join(parts)
+
+
+def _builtin_tolower(args: list[Value]) -> Value:
+    (value,) = args
+    if value is UNDEFINED:
+        return UNDEFINED
+    if not isinstance(value, str):
+        raise ClassAdError("string expected")
+    return value.lower()
+
+
+def _builtin_toupper(args: list[Value]) -> Value:
+    (value,) = args
+    if value is UNDEFINED:
+        return UNDEFINED
+    if not isinstance(value, str):
+        raise ClassAdError("string expected")
+    return value.upper()
+
+
+def _builtin_string_list_member(args: list[Value]) -> Value:
+    item, lst = args
+    if item is UNDEFINED or lst is UNDEFINED:
+        return UNDEFINED
+    if not isinstance(item, str) or not isinstance(lst, str):
+        raise ClassAdError("strings expected")
+    members = [m.strip().lower() for m in lst.split(",")]
+    return item.lower() in members
+
+
+def _builtin_is_undefined(args: list[Value]) -> Value:
+    (value,) = args
+    return value is UNDEFINED
+
+
+_BUILTINS: dict[str, Callable[[list[Value]], Value]] = {
+    "floor": _builtin_floor,
+    "ceiling": _builtin_ceiling,
+    "min": _builtin_min,
+    "max": _builtin_max,
+    "strcat": _builtin_strcat,
+    "tolower": _builtin_tolower,
+    "toupper": _builtin_toupper,
+    "stringlistmember": _builtin_string_list_member,
+    "isundefined": _builtin_is_undefined,
+}
 
 
 def cache_info() -> dict[str, int]:

@@ -14,7 +14,7 @@ from .contention import (
     UnmanagedContention,
     slowdown,
 )
-from .device import DEVICE_STATES, DeviceFailed, OffloadRecord, OOMKilled, XeonPhi
+from .device import DeviceFailed, OffloadRecord, OOMKilled, XeonPhi
 from .spec import PAPER_SPEC, XeonPhiSpec
 from .telemetry import DeviceTelemetry, StepSeries
 
@@ -22,7 +22,6 @@ __all__ = [
     "AffinitizedContention",
     "CALIBRATED_SHARING_PENALTY",
     "ContentionModel",
-    "DEVICE_STATES",
     "DeviceFailed",
     "DeviceTelemetry",
     "OffloadRecord",

@@ -41,11 +41,6 @@ class OOMKilled(Exception):
         self.device = device
 
 
-#: Device lifecycle states: ``"healthy"`` serves offloads, ``"draining"``
-#: finishes in-flight work but admits no new process, ``"failed"`` is down.
-DEVICE_STATES = ("healthy", "draining", "failed")
-
-
 class DeviceFailed(Exception):
     """The coprocessor is down (card hang, MPSS reset, hardware loss).
 
@@ -129,6 +124,8 @@ class XeonPhi:
         self.rng = rng
         self.telemetry = DeviceTelemetry()
         self.offload_log: list[OffloadRecord] = []
+        # Lifecycle: "healthy" serves offloads; "failed" is down, from
+        # fail() until restore().
         self.state = "healthy"
 
         self._tasks: list[_Task] = []
@@ -206,12 +203,6 @@ class XeonPhi:
             return
         self.state = "healthy"
         self.telemetry.device_restores += 1
-
-    def drain(self) -> None:
-        """Stop admitting new device processes; in-flight work finishes."""
-        if self.state == "failed":
-            raise RuntimeError(f"cannot drain failed device {self.name}")
-        self.state = "draining"
 
     # -- process & memory management ----------------------------------------
 

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.condor import ClassAd, parse, set_compilation
+from classad_oracle import interpret
+from repro.condor import ClassAd, parse
 from repro.condor.classad import ERROR, UNDEFINED, Expr, Value
 from repro.condor.submit import format_classad, parse_classad_text
 
@@ -59,7 +60,7 @@ def expressions(draw, depth=3):
 _CONTEXT = ClassAd({"Memory": 8192, "Name": "slot1@n0", "Threads": 240,
                     "Busy": False})
 
-#: A nastier target for the compiled-vs-interpreted sweep: attributes
+#: A nastier target for the compiled-vs-oracle sweep: attributes
 #: that are expressions (role-swapped evaluation), literally undefined,
 #: and self-referential (depth guard).
 _EXPR_CONTEXT = ClassAd({"Name": "slot1@n0", "Busy": False})
@@ -69,15 +70,6 @@ _EXPR_CONTEXT["Missing"] = UNDEFINED
 
 _LOOP_MY = ClassAd()
 _LOOP_MY.set_expr("Memory", "Memory + 1")  # circular: must yield ERROR
-
-
-def _interpreted(ad, target):
-    """Evaluate ``ad.X`` with the compiled path globally disabled."""
-    set_compilation(False)
-    try:
-        return ad.evaluate("X", target)
-    finally:
-        set_compilation(True)
 
 
 @settings(max_examples=300, deadline=None)
@@ -126,30 +118,33 @@ def test_text_format_roundtrips_literal_ads(attrs):
 @settings(max_examples=300, deadline=None)
 @given(expressions())
 def test_compiled_evaluator_matches_interpreted(text):
-    """The closure compiler is an exact drop-in for the tree-walker:
-    same values AND same UNDEFINED/ERROR propagation."""
+    """The closure compiler agrees with the tree-walking oracle: same
+    values AND same UNDEFINED/ERROR propagation."""
     ad = ClassAd()
     ad.set_expr("X", text)
     for target in (_CONTEXT, _EXPR_CONTEXT, None):
-        assert _norm(ad.evaluate("X", target)) == _norm(_interpreted(ad, target))
+        expected = interpret(ad, "X", target)
+        assert _norm(ad.evaluate("X", target)) == _norm(expected)
 
 
 @settings(max_examples=150, deadline=None)
 @given(expressions())
 def test_compiled_matches_interpreted_with_expression_my_ad(text):
     """Unscoped references resolving to expression-valued (even circular)
-    my-attributes take the interpreted fallback — still equivalent."""
+    my-attributes compile and nest under the depth guard — still
+    equivalent."""
     ad = _LOOP_MY.copy()
     ad.set_expr("X", text)
-    assert _norm(ad.evaluate("X", _CONTEXT)) == _norm(_interpreted(ad, _CONTEXT))
+    expected = interpret(ad, "X", _CONTEXT)
+    assert _norm(ad.evaluate("X", _CONTEXT)) == _norm(expected)
 
 
 @settings(max_examples=150, deadline=None)
 @given(expressions(), expressions())
 def test_qedit_mid_run_swaps_compiled_closure(first, second):
     """Rewriting an attribute mid-run (condor_qedit) must never serve a
-    stale closure: the post-edit value equals a fresh interpreted
-    evaluation of the new expression."""
+    stale closure: the post-edit value equals the oracle's evaluation of
+    the new expression."""
     ad = ClassAd()
     ad.set_expr("X", first)
     ad.evaluate("X", _CONTEXT)  # populate the compile cache
@@ -157,7 +152,7 @@ def test_qedit_mid_run_swaps_compiled_closure(first, second):
     after = ad.evaluate("X", _CONTEXT)
     fresh = ClassAd()
     fresh.set_expr("X", second)
-    assert _norm(after) == _norm(_interpreted(fresh, _CONTEXT))
+    assert _norm(after) == _norm(interpret(fresh, "X", _CONTEXT))
 
 
 def _assert_classad_value(value: Value) -> None:

@@ -4,25 +4,38 @@ The hypothesis equivalence sweep lives in
 ``test_condor_classad_properties.py``; these tests pin down the exact
 semantics the compiler must preserve (three-valued logic, short-circuit,
 C-style division, case-insensitive strings, circularity guard), the pin
-extraction rules, and the caching/invalidation contract.
+extraction rules, and the caching/invalidation contract. The reference
+each semantic case is checked against is the tree-walking oracle in
+``classad_oracle.py``.
 """
 
 import pytest
 
-from repro.condor import ClassAd, parse, set_compilation
+from classad_oracle import Context, interpret, walk
+from repro.condor import ClassAd, parse
 from repro.condor.classad import ERROR, MISSING, UNDEFINED, EvalContext, Literal
+from repro.condor import compile as compile_module
 from repro.condor.compile import (
     cache_info,
     compile_expr,
     requirements_plan,
 )
+from repro.condor.submit import parse_classad_text
 
 _TARGET = ClassAd({"Memory": 8192, "Name": "slot1@n0", "Threads": 240,
                    "Busy": False})
 
+#: A job ad in the classic text format whose Requirements reads an
+#: expression-valued attribute.
+_SUBMITTED_AD = """
+PhiBase = 1500
+RequestPhiMemory = MY.PhiBase * 2
+Requirements = MY.RequestPhiMemory <= TARGET.Memory
+"""
+
 
 def _interpreted(text, my=None, target=_TARGET):
-    return parse(text).evaluate(EvalContext(my or ClassAd(), target))
+    return walk(parse(text), Context(my or ClassAd(), target))
 
 
 def _compiled(text, my=None, target=_TARGET):
@@ -104,22 +117,75 @@ class TestCompiledSemantics:
         my = ClassAd()
         my["Memory"] = UNDEFINED
         assert _compiled("Memory", my=my) == _interpreted("Memory", my=my) == 8192
+        # So must it when the my ad's attribute is an expression that
+        # yields UNDEFINED.
+        my.set_expr("Memory", "MY.Missing + 1")
+        assert _compiled("Memory", my=my) == _interpreted("Memory", my=my) == 8192
 
     def test_my_scope_does_not_fall_through(self):
         my = ClassAd()
         my["Memory"] = UNDEFINED
         assert _compiled("MY.Memory", my=my) is UNDEFINED
 
-    def test_expression_valued_attribute_uses_interpreted_lookup(self):
+    def test_expression_valued_attribute_compiles_once(self):
         my = ClassAd()
         my.set_expr("Derived", "TARGET.Memory / 2")
         assert _compiled("Derived", my=my) == 4096
+        # An ad as the classic text format carries it: RequestPhiMemory is
+        # an expression, read from Requirements.
+        ad = parse_classad_text(_SUBMITTED_AD)
+        attr = ad.get_expr("RequestPhiMemory")
+        assert not isinstance(attr, Literal)
+        misses, hits = [], []
+        for _ in range(3):
+            before = cache_info()
+            assert ad.evaluate("Requirements", _TARGET) is True
+            after = cache_info()
+            misses.append(after["misses"] - before["misses"])
+            hits.append(after["hits"] - before["hits"])
+        # The first evaluation compiles both trees (unless an earlier test
+        # parsed the same text); after it, each evaluation is two memo
+        # hits, Requirements and RequestPhiMemory, and no miss.
+        assert id(attr) in compile_module._CACHE
+        assert misses[1:] == [0, 0]
+        assert hits[1:] == [2, 2]
+        assert ad.evaluate("Requirements", _TARGET) == interpret(
+            ad, "Requirements", _TARGET
+        )
 
     def test_circular_attributes_hit_depth_guard(self):
         my = ClassAd()
         my.set_expr("A", "B")
         my.set_expr("B", "A")
         assert my.evaluate("A") is ERROR
+        assert interpret(my, "A") is ERROR
+
+    @pytest.mark.parametrize("evaluate", [ClassAd.evaluate, interpret],
+                             ids=["compiled", "oracle"])
+    @pytest.mark.parametrize("links", [31, 32, 33, 34])
+    def test_depth_guard_boundary(self, evaluate, links):
+        # X reads L1, and L1 .. L<links> are expressions that each read
+        # the next attribute; the last one reads a literal. 32
+        # expression-valued links evaluate, 33 are circular as far as
+        # the guard can tell.
+        one = ClassAd()
+        one.set_expr("X", "L1")
+        for i in range(1, links + 1):
+            one.set_expr(f"L{i}", f"L{i + 1}")
+        one[f"L{links + 1}"] = 7
+        # The same chain across two ads, each link reading the other ad:
+        # every step swaps roles.
+        ads = (ClassAd(), ClassAd())
+        ads[0].set_expr("X", "TARGET.L1")
+        for i in range(1, links + 1):
+            ads[i % 2].set_expr(f"L{i}", f"TARGET.L{i + 1}")
+        ads[(links + 1) % 2][f"L{links + 1}"] = 5
+        if links <= 32:
+            assert evaluate(one, "X", None) == 7
+            assert evaluate(ads[0], "X", ads[1]) == 5
+        else:
+            assert evaluate(one, "X", None) is ERROR
+            assert evaluate(ads[0], "X", ads[1]) is ERROR
 
     def test_no_target_means_target_refs_undefined(self):
         assert _compiled("TARGET.Memory", target=None) is UNDEFINED
@@ -128,16 +194,6 @@ class TestCompiledSemantics:
         ad = ClassAd({"X": 7})
         assert ad.evaluate("X") == 7
         assert ad["X"] == 7
-
-    def test_set_compilation_toggle_round_trip(self):
-        ad = ClassAd({"M": 10})
-        ad.set_expr("X", "M * 3")
-        try:
-            set_compilation(False)
-            interpreted = ad.evaluate("X")
-        finally:
-            set_compilation(True)
-        assert interpreted == ad.evaluate("X") == 30
 
 
 class TestConstantFolding:
@@ -236,6 +292,16 @@ class TestCaching:
         assert ad.evaluate("Requirements", _TARGET) is True
         ad.set_expr("Requirements", "false")
         assert ad.evaluate("Requirements", _TARGET) is False
+        # An expression-valued attribute that Requirements reads is
+        # served its new tree after a qedit too.
+        ad = parse_classad_text(_SUBMITTED_AD)
+        assert ad.evaluate("Requirements", _TARGET) is True
+        # qedit the attribute Requirements reads: 1500 * 8 MB > 8192 MB.
+        ad.set_expr("RequestPhiMemory", "MY.PhiBase * 8")
+        edited = ad.get_expr("RequestPhiMemory")
+        assert id(edited) not in compile_module._CACHE
+        assert ad.evaluate("Requirements", _TARGET) is False
+        assert id(edited) in compile_module._CACHE
 
     def test_plan_follows_replaced_tree(self):
         ad = ClassAd()

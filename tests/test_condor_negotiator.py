@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from classad_oracle import interpret
 from repro.cluster import ComputeNode, run_configuration, simulation
 from repro.condor import (
     BestFitPlacement,
@@ -23,7 +24,6 @@ from repro.condor import (
     job_ad,
     machine_ad,
     pin_requirements,
-    set_compilation,
     symmetric_match,
 )
 from repro.condor.classad import Literal, matcher
@@ -444,11 +444,15 @@ def any_device_fits(record, candidates, memory_aware):
     )
 
 
-def two_evaluations(left, right):
-    """The symmetric rule as two ``ClassAd.evaluate`` calls."""
+def compiled(ad, name, target):
+    return ad.evaluate(name, target)
+
+
+def two_evaluations(left, right, evaluate):
+    """The symmetric rule as two evaluations of Requirements."""
     return (
-        left.evaluate("Requirements", right) is True
-        and right.evaluate("Requirements", left) is True
+        evaluate(left, "Requirements", right) is True
+        and evaluate(right, "Requirements", left) is True
     )
 
 
@@ -481,15 +485,15 @@ MACHINE_SETS = (
 )
 
 
-@pytest.fixture(params=[True, False], ids=["compiled", "interpreted"])
-def compilation(request):
-    set_compilation(request.param)
-    yield request.param
-    set_compilation(True)
+@pytest.fixture(params=[compiled, interpret], ids=["compiled", "interpreted"])
+def evaluate(request):
+    """What the reference verdicts evaluate with: ``ClassAd.evaluate``, or
+    the tree-walking oracle."""
+    return request.param
 
 
 @pytest.mark.parametrize("seed", range(40))
-def test_matcher_agrees_with_fresh_views_across_deductions(seed, compilation):
+def test_matcher_agrees_with_fresh_views_across_deductions(seed, evaluate):
     rng = random.Random(seed)
     snaps = random_snapshots(rng, 6)
     sets = [rng.choice(MACHINE_SETS) for _ in snaps]
@@ -501,7 +505,7 @@ def test_matcher_agrees_with_fresh_views_across_deductions(seed, compilation):
             matches = matcher(job)
             fresh = [apply_sets(machine_ad(s), w) for s, w in zip(snaps, sets)]
             verdicts = [matches(view) for view in views]
-            assert verdicts == [two_evaluations(job, f) for f in fresh]
+            assert verdicts == [two_evaluations(job, f, evaluate) for f in fresh]
             assert verdicts == [symmetric_match(job, f) for f in fresh]
         # A deduction between probes, as a cycle makes after a match.
         snap = rng.choice(snaps)

@@ -6,10 +6,18 @@ not a bracketed timing/status line) from
 A refactor of the harness must leave every digest unchanged; a change
 that moves an experiment's output on purpose re-pins that experiment's
 digest and says why.
+
+``DEFAULT_GOLDEN`` pins the same digests for default-size ``all`` (no
+``--job-count``). That run is too slow for the tier-1 suite, so CI's
+harness job checks it instead: pipe the output of
+``python -m repro.experiments all --jobs 2 --no-cache`` into
+``python tests/test_experiments_golden.py``, which exits nonzero and
+names each experiment whose digest moved or is missing.
 """
 
 import hashlib
 import re
+import sys
 
 from repro.cli import main
 
@@ -32,6 +40,27 @@ GOLDEN = {
     "ext-netchaos": "01fc74096de8ebf56e6f3efa923b89229a6483c30e678676a1a6eaf370efe796",
     "ext-oversubscription": "9938bb60b8d879d02d7fb9fd9f8610e5f211fdb4726d4346115cd6e11011734a",
     "ext-replication": "8baef23af1271dfdd6737dc642d0995b91f1b85b3352006b1ab50ecc1d059955",
+}
+
+DEFAULT_GOLDEN = {
+    "motivation": "b6ef098145fb06a5d829575fc2626bc2dcec274f76bc1eb565399f06e53f4cc1",
+    "table2": "dec784028487ad455a41cb36cd18435d02d538054aa403a8233734d1017a5130",
+    "table3": "7ee7de491ccbab7941ea4d50b7ffc08e4f500dd8fdbd12ded0c6456d22ff48fd",
+    "fig7": "74e34c78c844cb1dcded6b17d839c297d96ea48dee19eaad635fee7dbd95c853",
+    "fig8": "e21c40b34b6af5ff77e556b99a872c8a09852fd810f7f30a1486faa282d7aaaf",
+    "fig9": "ad92321cacf25782d2d4c0bf881d640062c1be59eeb2c181c0381ba193a81c43",
+    "fig10": "b784bb9ee95e29aae6eb338e80426c54a3b924d0a3f2f32bb7316d2a23d682a2",
+    "ablation-value": "0ee8af3a2c9a46a2bf88f5213a227215a4f4c1a49fb7ec75d78d023a7bf79188",
+    "ablation-knapsack": "e8137394458cb8aba634784c31b753601301ebe7e26aa2d71a624838f9e9d478",
+    "ablation-cycle": "e070d0fe1f45ef4f9eaed06764a3b182cf157124ee04f47d151a59b1f9e3655d",
+    "ablation-placement": "881875d822f57cf43a88051beb70dd335531702dbf5821d9eef69562efa177d7",
+    "ext-capacity": "21cb4db4507a60b0f6eb81f67bcac12c604b5815d0adf821821e0295b97e4c6f",
+    "ext-crash": "519abf199fb69d08169b73d6bd890e1664bd7630c0611241d7203b5740117337",
+    "ext-faults": "b0a52c926862706a75f1c79a4130c8b4c209cad18a429d89658831686258f3d0",
+    "ext-multidevice": "26d0d5e710e705f58582dbf33014f7007607bf2cb928ed5d2e6105b350e25014",
+    "ext-netchaos": "d62a966a62765b84743f0e3e2f566cf42c79e2b36eaafa0aee7e455a4651c412",
+    "ext-oversubscription": "9938bb60b8d879d02d7fb9fd9f8610e5f211fdb4726d4346115cd6e11011734a",
+    "ext-replication": "75b6e4e7be1e72a3ffc64b46613712edc911a971fa83b59d911e632932677449",
 }
 
 _BLOCK_END = re.compile(r"\[([\w-]+): [\d.]+s cell-time")
@@ -58,3 +87,16 @@ def test_all_renders_golden_bytes(capsys, tmp_path, monkeypatch):
     argv = ["all", "--job-count", "16", "--jobs", "1", "--no-cache"]
     assert main(argv) == 0
     assert _digests(capsys.readouterr().out) == GOLDEN
+
+
+if __name__ == "__main__":
+    digests = _digests(sys.stdin.read())
+    moved = sorted(
+        name for name in DEFAULT_GOLDEN.keys() | digests.keys()
+        if digests.get(name) != DEFAULT_GOLDEN.get(name)
+    )
+    for name in moved:
+        print(f"{name}: rendered output differs from DEFAULT_GOLDEN")
+    print(f"{len(DEFAULT_GOLDEN) - len(moved)}/{len(DEFAULT_GOLDEN)} "
+          "default-size digests match")
+    sys.exit(1 if moved else 0)
